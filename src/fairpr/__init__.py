@@ -16,6 +16,7 @@ from .analysis import (
     make_report,
     personalized_audit,
     red_mass,
+    targeted_lower_bound_loss,
     utility_loss,
 )
 from .errors import (

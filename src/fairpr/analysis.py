@@ -21,12 +21,13 @@ simultaneously iff every row of the transition matrix sends exactly a
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .graph import ColoredGraph
 from .pagerank import DEFAULT_GAMMA, TransitionModel, absorption_vector
+from .simplex import project_fair_simplex
 
 FAIRNESS_TOL = 1e-7
 
@@ -84,6 +85,19 @@ def lower_bound_vector(p_o: np.ndarray, g: ColoredGraph, phi: float) -> np.ndarr
 
 def lower_bound_loss(p_o: np.ndarray, g: ColoredGraph, phi: float) -> float:
     return utility_loss(lower_bound_vector(p_o, g, phi), p_o)
+
+
+def targeted_lower_bound_loss(
+    p_o: np.ndarray, s_mask: np.ndarray, sr_mask: np.ndarray, phi: float
+) -> float:
+    """Least loss of any distribution giving S_R a ``phi`` share of S's mass.
+
+    Every targeted-fair score vector ``w`` satisfies ``w >= 0``,
+    ``sum w = 1`` and ``(1_SR - phi 1_S)' w = 0``, so the projection of
+    ``p_o`` onto that set loses no more than any of them.
+    """
+    a = sr_mask.astype(float) - phi * s_mask.astype(float)
+    return utility_loss(project_fair_simplex(p_o, a, 0.0), p_o)
 
 
 def converse_check(m: TransitionModel, g: ColoredGraph, phi: float, tol: float = 1e-9) -> bool:
@@ -198,14 +212,7 @@ class FairnessReport:
     lower_bound_loss: float
 
     def to_dict(self) -> dict:
-        return {
-            "phi": self.phi,
-            "gamma": self.gamma,
-            "red_mass": self.red_mass,
-            "fair": self.fair,
-            "loss": self.loss,
-            "lower_bound_loss": self.lower_bound_loss,
-        }
+        return asdict(self)
 
 
 def make_report(
@@ -228,9 +235,11 @@ def make_report(
 
 
 def write_report_json(report: FairnessReport, path, extra: dict | None = None) -> None:
-    payload = report.to_dict()
-    if extra:
-        payload.update(extra)
+    write_json(path, {**report.to_dict(), **(extra or {})})
+
+
+def write_json(path, payload: dict) -> None:
+    """Indented JSON with sorted keys, so reruns write identical bytes."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

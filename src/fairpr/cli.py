@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -41,29 +41,35 @@ def _load_node_list(path) -> np.ndarray:
     return np.asarray(nodes, dtype=np.int64)
 
 
-def _write_policy_json(path, policy: lfpr.ResidualPolicy) -> None:
-    payload: dict = {"kind": policy.kind.value}
-    for name, vec in (("x", policy.x), ("y", policy.y)):
-        if vec is not None:
-            payload[name] = {str(i): float(v) for i, v in enumerate(vec) if v != 0.0}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _require_phi(args) -> float:
-    if args.phi is None:
+def _require_phi(phi):
+    if phi is None:
         raise ValueError("--phi is required for this algorithm")
-    return args.phi
+    return phi
 
 
-def _rank_once(g, algo, args, p_o, gamma, targets):
+def _lfpr_policy(g, algo, args, phi, gamma, p_o):
+    """Residual policy of a global lfpr algorithm, plus lfpr-o's search counts."""
+    if algo != "lfpr-o":
+        return lfpr.make_policy(LFPR_KINDS[algo], g, p_o=p_o), {}
+    result = lfpr.optimize_residuals(
+        g,
+        phi,
+        gamma,
+        p_o,
+        iterations=args.iters if args.iters else 200,
+        directions=args.directions,
+        penalty=args.penalty,
+        seed=args.seed,
+    )
+    stats = {
+        "search_iterations": result.iterations,
+        "search_evaluations": result.evaluations,
+        "penalty_residual": result.penalty_residual,
+    }
+    return result.policy, stats
+
+
+def _rank_once(g, algo, args, phi, p_o, gamma, targets):
     """Scores plus algorithm-specific report fields for one configuration."""
     extras: dict = {"algorithm": algo}
     policy = None
@@ -71,10 +77,10 @@ def _rank_once(g, algo, args, p_o, gamma, targets):
         raise ValueError(f"targeted runs are not supported for --algo {algo}")
 
     if algo == "opr":
-        scores = p_o
-    elif algo == "fspr":
+        return p_o, extras, policy
+    phi = _require_phi(phi)
+    if algo == "fspr":
         model = standard_transition(g)
-        phi = _require_phi(args)
         if targets is None:
             problem = fspr.fspr_problem(model, g, phi, gamma, p_o=p_o)
         else:
@@ -84,6 +90,12 @@ def _rank_once(g, algo, args, p_o, gamma, targets):
         solution = fspr.solve_fspr(
             problem, tol=args.tol, max_iters=args.iters if args.iters else 5000
         )
+        if not solution.converged:
+            print(
+                f"warning: fspr stopped after {solution.iterations} iterations with "
+                f"KKT residual {solution.kkt_residual:.3e} above --tol {args.tol:g}",
+                file=sys.stderr,
+            )
         scores = solution.scores
         extras.update(
             {
@@ -92,70 +104,46 @@ def _rank_once(g, algo, args, p_o, gamma, targets):
                 "iterations": solution.iterations,
                 "converged": solution.converged,
                 "kkt_residual": solution.kkt_residual,
+                "jump_vector": solution.x,
             }
         )
-        extras["jump_vector"] = solution.x
-    elif algo == "lfpr-o":
-        phi = _require_phi(args)
-        result = lfpr.optimize_residuals(
-            g,
-            phi,
-            gamma,
-            p_o,
-            iterations=args.iters if args.iters else 200,
-            directions=args.directions,
-            penalty=args.penalty,
-            seed=args.seed,
-        )
-        policy = result.policy
+    elif targets is None:
+        policy, stats = _lfpr_policy(g, algo, args, phi, gamma, p_o)
         scores = lfpr.lfpr_pagerank(g, phi, policy, gamma)
-        extras.update(
-            {
-                "search_iterations": result.iterations,
-                "search_evaluations": result.evaluations,
-                "penalty_residual": result.penalty_residual,
-            }
-        )
+        extras.update(stats)
     else:
-        phi = _require_phi(args)
-        kind = LFPR_KINDS[algo]
-        if targets is None:
-            policy = lfpr.make_policy(kind, g, p_o=p_o)
-            scores = lfpr.lfpr_pagerank(g, phi, policy, gamma)
-        else:
-            scores = lfpr.targeted_lfpr(g, targets[0], targets[1], phi, kind, gamma, p_o=p_o)
-
-    if targets is not None:
-        s_mask = np.zeros(g.n, dtype=bool)
-        s_mask[targets[0]] = True
-        sr_mask = np.zeros(g.n, dtype=bool)
-        sr_mask[targets[1]] = True
-        target_mass = float(scores[s_mask].sum())
-        protected_mass = float(scores[sr_mask].sum())
-        extras["target_mass"] = target_mass
-        extras["protected_target_mass"] = protected_mass
-        extras["targeted_residual"] = abs(protected_mass - args.phi * target_mass)
+        scores = lfpr.targeted_lfpr(g, targets[0], targets[1], phi, LFPR_KINDS[algo], gamma, p_o=p_o)
     return scores, extras, policy
 
 
 def cmd_rank(args) -> int:
     g = graph.load_graph(args.edges, args.colors)
     gamma = args.gamma
-    model = standard_transition(g)
-    p_o = pagerank(model, gamma)
+    p_o = pagerank(standard_transition(g), gamma)
     targets = None
     if args.target_set or args.target_protected:
         if not (args.target_set and args.target_protected):
             raise ValueError("targeted runs need both --target-set and --target-protected")
         targets = (_load_node_list(args.target_set), _load_node_list(args.target_protected))
 
-    scores, extras, policy = _rank_once(g, args.algo, args, p_o, gamma, targets)
+    scores, extras, policy = _rank_once(g, args.algo, args, args.phi, p_o, gamma, targets)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_scores_csv(out / "scores.csv", scores)
     phi = args.phi if args.phi is not None else g.n_red / g.n
     report = analysis.make_report(scores, p_o, g, phi, gamma)
+    if targets is not None:
+        s_mask, sr_mask = lfpr._check_target_sets(g, *targets)
+        target_mass = float(scores[s_mask].sum())
+        protected_mass = float(scores[sr_mask].sum())
+        residual = abs(protected_mass - phi * target_mass)
+        extras["target_mass"] = target_mass
+        extras["protected_target_mass"] = protected_mass
+        extras["targeted_residual"] = residual
+        extras["fair"] = bool(residual <= analysis.FAIRNESS_TOL)
+        bound = analysis.targeted_lower_bound_loss(p_o, s_mask, sr_mask, phi)
+        report = replace(report, lower_bound_loss=bound)
     jump = extras.pop("jump_vector", None)
     if jump is not None:
         with open(out / "solution.csv", "w", encoding="utf-8", newline="") as fh:
@@ -163,12 +151,12 @@ def cmd_rank(args) -> int:
             for i in range(g.n):
                 fh.write(f"{i},{jump[i]:.17g},{scores[i]:.17g}\n")
     if policy is not None:
-        _write_policy_json(out / "policy.json", policy)
-    payload = report.to_dict()
-    if "targeted_residual" in extras:
-        payload["fair"] = bool(extras["targeted_residual"] <= analysis.FAIRNESS_TOL)
-    payload.update(extras)
-    _write_json(out / "report.json", payload)
+        payload: dict = {"kind": policy.kind.value}
+        for name, vec in (("x", policy.x), ("y", policy.y)):
+            if vec is not None:
+                payload[name] = {str(i): float(v) for i, v in enumerate(vec) if v != 0.0}
+        analysis.write_json(out / "policy.json", payload)
+    analysis.write_report_json(report, out / "report.json", extras)
     print(
         f"{args.algo}: red_mass={report.red_mass:.6f} loss={report.loss:.6e} "
         f"lower_bound_loss={report.lower_bound_loss:.6e}"
@@ -208,14 +196,11 @@ def cmd_sweep(args) -> int:
     ok_rows = 0
     infeasible_rows = 0
     for name, g in _sweep_instances(args):
-        model = standard_transition(g)
-        p_o = pagerank(model, gamma)
+        p_o = pagerank(standard_transition(g), gamma)
         for algo in args.algos:
             for phi in args.phis:
                 try:
-                    scores, _, _ = _rank_once(
-                        g, algo, _SweepView(args, phi), p_o, gamma, None
-                    )
+                    scores, _, _ = _rank_once(g, algo, args, phi, p_o, gamma, None)
                     mass = analysis.red_mass(scores, g)
                     rows.append(
                         [
@@ -250,45 +235,17 @@ def cmd_sweep(args) -> int:
     return 2 if infeasible_rows == len(rows) and rows else 1
 
 
-class _SweepView:
-    """Args proxy giving each sweep cell its own phi."""
-
-    def __init__(self, args, phi):
-        self._args = args
-        self.phi = phi
-
-    def __getattr__(self, name):
-        return getattr(self._args, name)
-
-
 def cmd_audit(args) -> int:
     g = graph.load_graph(args.edges, args.colors)
-    gamma = args.gamma
-    if args.algo == "opr":
-        model = standard_transition(g)
-        phi = args.phi if args.phi is not None else g.n_red / g.n
-    elif args.algo in LFPR_KINDS or args.algo == "lfpr-o":
-        phi = _require_phi(args)
-        p_o = pagerank(standard_transition(g), gamma)
-        if args.algo == "lfpr-o":
-            policy = lfpr.optimize_residuals(
-                g,
-                phi,
-                gamma,
-                p_o,
-                iterations=args.iters if args.iters else 200,
-                directions=args.directions,
-                penalty=args.penalty,
-                seed=args.seed,
-            ).policy
-        else:
-            policy = lfpr.make_policy(LFPR_KINDS[args.algo], g, p_o=p_o)
+    model = standard_transition(g)
+    if args.algo != "opr":
+        phi = _require_phi(args.phi)
+        p_o = pagerank(model, args.gamma)
+        policy, _ = _lfpr_policy(g, args.algo, args, phi, args.gamma, p_o)
         model = lfpr.build_residual_model(g, phi, policy)
-    else:
-        raise ValueError("audit applies to transition models: use opr or an lfpr algorithm")
-
+    # phi = None audits against the red node share.
     audit = analysis.personalized_audit(
-        model, g, gamma, phi, sample=args.sample, seed=args.seed
+        model, g, args.gamma, args.phi, sample=args.sample, seed=args.seed
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -312,12 +269,11 @@ def cmd_generate(args) -> int:
         edges_per_node=args.edges_per_node,
     )
     g = synth.generate(cfg)
+    red_pr = analysis.red_mass(pagerank(standard_transition(g), args.gamma), g)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     graph.save_graph(g, out / "edges.tsv", out / "colors.tsv")
     graph.write_summary_csv(g, out / "summary.csv")
-    p_o = pagerank(standard_transition(g), args.gamma)
-    red_pr = analysis.red_mass(p_o, g)
     with open(out / "manifest.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("seed,r,alpha_R,alpha_B,n,red_pagerank\n")
         fh.write(
@@ -336,10 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fairpr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_graph=True):
-        if needs_graph:
-            p.add_argument("--edges", required=True, help="edge TSV: src<TAB>dst")
-            p.add_argument("--colors", required=True, help="color TSV: node<TAB>{0|1}, 1 = red")
+    def common(p, graph="required"):
+        """Flags every subcommand shares; ``graph`` is "required", "optional" or None."""
+        if graph is not None:
+            p.add_argument("--edges", required=graph == "required", help="edge TSV: src<TAB>dst")
+            p.add_argument("--colors", required=graph == "required",
+                           help="color TSV: node<TAB>{0|1}, 1 = red")
         p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0)
@@ -359,15 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.set_defaults(func=cmd_rank)
 
     p_sweep = sub.add_parser("sweep", help="loss/fairness over a phi or graph grid")
-    p_sweep.add_argument("--edges", default=None)
-    p_sweep.add_argument("--colors", default=None)
-    p_sweep.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
-    p_sweep.add_argument("--out", default=".")
-    p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--tol", type=float, default=1e-8)
-    p_sweep.add_argument("--iters", type=int, default=None)
-    p_sweep.add_argument("--K", dest="directions", type=int, default=64)
-    p_sweep.add_argument("--lambda", dest="penalty", type=float, default=10.0)
+    common(p_sweep, graph="optional")
     p_sweep.add_argument("--phi", dest="phis", type=_float_list, required=True,
                          help="comma-separated phi values")
     p_sweep.add_argument("--algo", dest="algos", type=lambda t: t.split(","),
@@ -388,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.set_defaults(func=cmd_audit)
 
     p_gen = sub.add_parser("generate", help="grow a synthetic colored graph")
-    common(p_gen, needs_graph=False)
+    common(p_gen, graph=None)
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--r", type=float, required=True, help="red arrival probability")
     p_gen.add_argument("--alpha-red", type=float, required=True)

@@ -25,7 +25,7 @@ The targeted variant constrains the protected share of a target set S:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -96,9 +96,6 @@ class FsprProblem:
     phi: float
     constraint: np.ndarray
     rhs: float
-    targeted: bool = False
-    q_s: np.ndarray | None = None
-    q_sr: np.ndarray | None = None
 
 
 def fspr_problem(
@@ -127,25 +124,11 @@ def targeted_fspr_problem(
     p_o: np.ndarray | None = None,
 ) -> FsprProblem:
     """Constrain the protected share of the target set instead of all red."""
-    phi = _check_phi(phi)
     s_mask, sr_mask = _check_target_sets(g, s, s_r)
-    if p_o is None:
-        p_o = pagerank(model, gamma)
-    q_r = red_absorption_vector(model, g, gamma)
+    problem = fspr_problem(model, g, phi, gamma, p_o)
     q_s = absorption_vector(model, s_mask.astype(float), gamma)
     q_sr = absorption_vector(model, sr_mask.astype(float), gamma)
-    return FsprProblem(
-        model=model,
-        gamma=gamma,
-        p_o=p_o,
-        q_r=q_r,
-        phi=phi,
-        constraint=q_sr - phi * q_s,
-        rhs=0.0,
-        targeted=True,
-        q_s=q_s,
-        q_sr=q_sr,
-    )
+    return replace(problem, constraint=q_sr - problem.phi * q_s, rhs=0.0)
 
 
 @dataclass(frozen=True)
@@ -177,6 +160,8 @@ def solve_fspr(
     ``|| x - proj(x - grad f(x)) ||_2`` drops below ``tol``; if the budget
     runs out first, the best iterate is returned flagged non-converged.
     """
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
     a = problem.constraint
     if feasibility_check(a, problem.rhs) is not Feasibility.FEASIBLE:
         lo, hi = float(a.min()), float(a.max())
@@ -268,13 +253,8 @@ def solve_fspr(
     )
 
 
-def solve_targeted_fspr(
-    problem: FsprProblem, tol: float = 1e-8, max_iters: int = 5000
-) -> FsprSolution:
-    """Same solver on the targeted constraint; kept separate for clarity."""
-    if not problem.targeted:
-        raise ValueError("expected a problem built by targeted_fspr_problem")
-    return solve_fspr(problem, tol=tol, max_iters=max_iters)
+# The targeted problem differs only in its constraint, so the solver is shared.
+solve_targeted_fspr = solve_fspr
 
 
 def solve_fspr_dense(

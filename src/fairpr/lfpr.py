@@ -12,6 +12,12 @@ a residual ``delta`` that must be redistributed inside the short group.
 How the residual is spread is the policy: over the node's own neighbors,
 uniformly over the group, proportionally to the original PageRank, or
 optimized to minimize utility loss.
+
+The global model is the targeted model at S = all nodes and S_R = red:
+targeted fairness splits only the mass a row sends into a target set S,
+giving the protected part S_R a ``phi`` share of it.  One routine,
+``_split_rows``, does this split for both; the global builders call it
+with S = all nodes.
 """
 
 from __future__ import annotations
@@ -74,43 +80,16 @@ class ResidualDecomposition:
 
 def residual_decompose(g: ColoredGraph, phi: float) -> ResidualDecomposition:
     phi = _check_phi(phi)
-    out = g.out_degree.astype(float)
-    out_r = g.out_red.astype(float)
-    out_b = g.out_blue.astype(float)
-    nonsink = out > 0
-    sink = ~nonsink
-
-    # Nodes short on red neighbors: red share of out-edges below phi.
-    short_red = sink | (nonsink & (out_r < phi * out))
-    short_blue = sink | ~short_red
-
-    delta_red = np.zeros(g.n)
-    delta_blue = np.zeros(g.n)
-    rho_red = np.zeros(g.n)
-    rho_blue = np.zeros(g.n)
-
-    sr = short_red & nonsink  # here out_b >= 1
-    rho_red[sr] = (1.0 - phi) / out_b[sr]
-    delta_red[sr] = phi - (1.0 - phi) * out_r[sr] / out_b[sr]
-    sb = short_blue & nonsink  # here out_r >= 1
-    rho_blue[sb] = phi / out_r[sb]
-    delta_blue[sb] = (1.0 - phi) - phi * out_b[sb] / out_r[sb]
-    delta_red[sink] = phi
-    delta_blue[sink] = 1.0 - phi
-
-    per_edge = np.repeat(np.where(sr, rho_red, rho_blue), g.out_degree)
-    base = sparse.csr_matrix(
-        (per_edge, g.indices.copy(), g.indptr.copy()), shape=(g.n, g.n)
-    )
+    split = _split_rows(g, _everyone(g), g.red, phi, neighborhood=False)
     return ResidualDecomposition(
         phi=phi,
-        base=base,
-        delta_red=delta_red,
-        delta_blue=delta_blue,
-        rho_red=rho_red,
-        rho_blue=rho_blue,
-        short_red=short_red,
-        short_blue=short_blue,
+        base=split.base,
+        delta_red=split.delta_r,
+        delta_blue=split.delta_b,
+        rho_red=np.where(split.short, split.rho, 0.0),
+        rho_blue=np.where(split.short, 0.0, split.rho),
+        short_red=split.short | g.sinks,
+        short_blue=~split.short,
     )
 
 
@@ -123,10 +102,8 @@ def build_fair_jump(g: ColoredGraph, phi: float) -> np.ndarray:
     return v
 
 
-def _uniform_on(mask: np.ndarray, n: int) -> np.ndarray:
-    u = np.zeros(n)
-    u[mask] = 1.0 / mask.sum()
-    return u
+def _everyone(g: ColoredGraph) -> np.ndarray:
+    return np.ones(g.n, dtype=bool)
 
 
 def build_neighborhood_model(g: ColoredGraph, phi: float) -> TransitionModel:
@@ -136,24 +113,7 @@ def build_neighborhood_model(g: ColoredGraph, phi: float) -> TransitionModel:
     ``1 - phi`` over its blue ones.  A node missing one side (including
     every sink) spreads that share uniformly over the whole group.
     """
-    phi = _check_phi(phi)
-    out_r = g.out_red.astype(float)
-    out_b = g.out_blue.astype(float)
-    red_target = g.red[g.indices]
-
-    share_red = np.repeat(np.where(out_r > 0, phi / np.maximum(out_r, 1.0), 0.0), g.out_degree)
-    share_blue = np.repeat(np.where(out_b > 0, (1.0 - phi) / np.maximum(out_b, 1.0), 0.0), g.out_degree)
-    data = np.where(red_target, share_red, share_blue)
-    base = sparse.csr_matrix((data, g.indices.copy(), g.indptr.copy()), shape=(g.n, g.n))
-
-    residuals = []
-    no_red = out_r == 0
-    if no_red.any():
-        residuals.append((phi * no_red.astype(float), _uniform_on(g.red, g.n)))
-    no_blue = out_b == 0
-    if no_blue.any():
-        residuals.append(((1.0 - phi) * no_blue.astype(float), _uniform_on(~g.red, g.n)))
-    return TransitionModel(base=base, residuals=tuple(residuals))
+    return build_targeted_model(g, _everyone(g), g.red, phi, PolicyKind.NEIGHBORHOOD)
 
 
 @dataclass(frozen=True)
@@ -183,6 +143,20 @@ def _check_group_distribution(vec, mask, name):
     return vec
 
 
+def _fixed_policy_vectors(kind: PolicyKind, red_part, blue_part, p_o) -> tuple[np.ndarray, np.ndarray]:
+    """The uniform or proportional (x, y) pair over the two parts of a split."""
+    if kind is PolicyKind.UNIFORM:
+        return red_part / red_part.sum(), blue_part / blue_part.sum()
+    if p_o is None:
+        raise ValueError("proportional policy needs the original scores p_o")
+    p_o = np.asarray(p_o, dtype=float)
+    xv = np.where(red_part, np.maximum(p_o, 0.0), 0.0)
+    yv = np.where(blue_part, np.maximum(p_o, 0.0), 0.0)
+    if xv.sum() <= 0 or yv.sum() <= 0:
+        raise ValueError("proportional policy undefined: a group has zero score mass")
+    return xv / xv.sum(), yv / yv.sum()
+
+
 def make_policy(
     kind: PolicyKind | str,
     g: ColoredGraph,
@@ -199,17 +173,9 @@ def make_policy(
     kind = PolicyKind(kind)
     if kind is PolicyKind.NEIGHBORHOOD:
         return ResidualPolicy(kind=kind)
-    if kind is PolicyKind.UNIFORM:
-        return ResidualPolicy(kind=kind, x=_uniform_on(g.red, g.n), y=_uniform_on(~g.red, g.n))
-    if kind is PolicyKind.PROPORTIONAL:
-        if p_o is None:
-            raise ValueError("proportional policy needs the original scores p_o")
-        p_o = np.asarray(p_o, dtype=float)
-        xv = np.where(g.red, np.maximum(p_o, 0.0), 0.0)
-        yv = np.where(~g.red, np.maximum(p_o, 0.0), 0.0)
-        if xv.sum() <= 0 or yv.sum() <= 0:
-            raise ValueError("proportional policy undefined: a group has zero score mass")
-        return ResidualPolicy(kind=kind, x=xv / xv.sum(), y=yv / yv.sum())
+    if kind is not PolicyKind.OPTIMIZED:
+        x, y = _fixed_policy_vectors(kind, g.red, ~g.red, p_o)
+        return ResidualPolicy(kind=kind, x=x, y=y)
     if x is None or y is None:
         raise ValueError("optimized policy needs explicit x and y vectors")
     return ResidualPolicy(
@@ -225,11 +191,8 @@ def build_residual_model(g: ColoredGraph, phi: float, policy: ResidualPolicy) ->
         return build_neighborhood_model(g, phi)
     if policy.x is None or policy.y is None:
         raise ValueError(f"{policy.kind.value} policy is missing its x/y vectors")
-    dec = residual_decompose(g, phi)
-    return TransitionModel(
-        base=dec.base,
-        residuals=((dec.delta_red, policy.x), (dec.delta_blue, policy.y)),
-    )
+    split = _split_rows(g, _everyone(g), g.red, _check_phi(phi), neighborhood=False)
+    return split.model(policy.x, policy.y)
 
 
 def lfpr_pagerank(
@@ -380,8 +343,7 @@ def optimize_residuals(
         pen = penalty * ((xs.sum(axis=1) - 1.0) ** 2 + (ys.sum(axis=1) - 1.0) ** 2)
         return engine.loss_batch(xs, ys) + pen
 
-    x = _uniform_on(g.red, g.n)
-    y = _uniform_on(~g.red, g.n)
+    x, y = _fixed_policy_vectors(PolicyKind.UNIFORM, g.red, ~g.red, p_o)
     f_cur = float(objective(x[None, :], y[None, :])[0])
     evaluations = 1
     rng = np.random.default_rng(seed)
@@ -450,22 +412,19 @@ def optimize_residuals(
 
 
 def _check_target_sets(g: ColoredGraph, s, s_r) -> tuple[np.ndarray, np.ndarray]:
-    s = np.unique(np.asarray(s, dtype=np.int64))
-    s_r = np.unique(np.asarray(s_r, dtype=np.int64))
-    if s.size == 0:
-        raise ValueError("target set is empty")
-    if s.min() < 0 or s.max() >= g.n:
-        raise ValueError("target set contains out-of-range node ids")
-    s_mask = np.zeros(g.n, dtype=bool)
-    s_mask[s] = True
-    if s_r.size == 0:
-        raise ValueError("protected target subset is empty")
-    if s_r.min() < 0 or s_r.max() >= g.n:
-        raise ValueError("protected target subset contains out-of-range node ids")
-    if not s_mask[s_r].all():
+    masks = []
+    for ids, name in ((s, "target set"), (s_r, "protected target subset")):
+        ids = np.unique(np.asarray(ids, dtype=np.int64))
+        if ids.size == 0:
+            raise ValueError(f"{name} is empty")
+        if ids.min() < 0 or ids.max() >= g.n:
+            raise ValueError(f"{name} contains out-of-range node ids")
+        mask = np.zeros(g.n, dtype=bool)
+        mask[ids] = True
+        masks.append(mask)
+    s_mask, sr_mask = masks
+    if not s_mask[sr_mask].all():
         raise ValueError("protected target subset must lie inside the target set")
-    sr_mask = np.zeros(g.n, dtype=bool)
-    sr_mask[s_r] = True
     if not (s_mask & ~sr_mask).any():
         raise ValueError("target set must contain nodes outside the protected subset")
     return s_mask, sr_mask
@@ -481,6 +440,90 @@ def targeted_jump(g: ColoredGraph, s_mask: np.ndarray, sr_mask: np.ndarray, phi:
     v[sr_mask] = phi * size_s / (n * sr_mask.sum())
     v[sb_mask] = (1.0 - phi) * size_s / (n * sb_mask.sum())
     return v
+
+
+@dataclass(frozen=True)
+class _RowSplit:
+    """Per-edge ``base``, the mass each row still owes S_R and S_B = S - S_R,
+    and the sinks' jump outside S; only the decomposition sets ``rho``/``short``."""
+
+    base: sparse.csr_matrix
+    delta_r: np.ndarray
+    delta_b: np.ndarray
+    rest: tuple
+    rho: np.ndarray | None = None
+    short: np.ndarray | None = None
+
+    def model(self, x: np.ndarray, y: np.ndarray) -> TransitionModel:
+        """The transitions with the owed mass spread by ``x`` over S_R and ``y`` over S_B."""
+        owed = tuple((d, t) for d, t in ((self.delta_r, x), (self.delta_b, y)) if d.any())
+        return TransitionModel(base=self.base, residuals=owed + self.rest)
+
+
+def _split_rows(
+    g: ColoredGraph, s_mask: np.ndarray, sr_mask: np.ndarray, phi: float, neighborhood: bool
+) -> _RowSplit:
+    """The one place where rows are split ``phi``-fairly.
+
+    Each row keeps its out-of-target entries and reallocates the mass it
+    sends into S so that S_R receives a ``phi`` share of it; a sink's
+    uniform row sends ``|S| / n`` into S.  The neighborhood split spreads
+    each share over the row's own neighbors in that part and owes a part
+    with no such neighbor in full.  The decomposition split keeps the
+    largest per-edge share ``rho`` within both quotas and owes the rest.
+    """
+    n = g.n
+    out = g.out_degree.astype(float)
+    nonsink = out > 0
+    sink = ~nonsink
+
+    in_s = s_mask[g.indices]
+    in_sr = sr_mask[g.indices]
+    edge_row = np.repeat(np.arange(n), g.out_degree)
+    d_s = np.bincount(edge_row, weights=in_s, minlength=n)
+    d_sr = np.bincount(edge_row, weights=in_sr, minlength=n)
+    d_sb = d_s - d_sr
+
+    # Per-row probability currently entering the target set.
+    s_mass = np.zeros(n)
+    s_mass[nonsink] = d_s[nonsink] / out[nonsink]
+    s_mass[sink] = s_mask.sum() / n
+
+    row_out = np.repeat(np.where(nonsink, 1.0 / np.maximum(out, 1.0), 0.0), g.out_degree)
+    rho = short = None
+
+    if neighborhood:
+        share_sr = np.repeat(
+            np.where(d_sr > 0, phi * s_mass / np.maximum(d_sr, 1.0), 0.0), g.out_degree
+        )
+        share_sb = np.repeat(
+            np.where(d_sb > 0, (1.0 - phi) * s_mass / np.maximum(d_sb, 1.0), 0.0), g.out_degree
+        )
+        data = np.where(in_sr, share_sr, np.where(in_s, share_sb, row_out))
+        delta_r = phi * s_mass * (d_sr == 0)
+        delta_b = (1.0 - phi) * s_mass * (d_sb == 0)
+    else:
+        short = (d_s > 0) & (d_sr < phi * d_s)
+        rich = (d_s > 0) & ~short
+        rho = np.zeros(n)
+        rho[short] = (1.0 - phi) * s_mass[short] / d_sb[short]
+        rho[rich] = phi * s_mass[rich] / d_sr[rich]
+        delta_r = np.zeros(n)
+        delta_b = np.zeros(n)
+        delta_r[short] = s_mass[short] * (phi - (1.0 - phi) * d_sr[short] / d_sb[short])
+        delta_b[rich] = s_mass[rich] * ((1.0 - phi) - phi * d_sb[rich] / d_sr[rich])
+        delta_r[sink] = phi * s_mass[sink]
+        delta_b[sink] = (1.0 - phi) * s_mass[sink]
+        data = np.where(in_s, np.repeat(rho, g.out_degree), row_out)
+
+    rest = ()
+    if sink.any() and s_mask.sum() < n:
+        outside = np.zeros(n)
+        outside[~s_mask] = 1.0 / n
+        rest = ((sink.astype(float), outside),)
+
+    base = sparse.csr_matrix((data, g.indices.copy(), g.indptr.copy()), shape=(n, n))
+    return _RowSplit(base=base, delta_r=delta_r, delta_b=delta_b, rest=rest, rho=rho, short=short)
 
 
 def build_targeted_model(
@@ -504,86 +547,11 @@ def build_targeted_model(
     kind = PolicyKind(kind)
     if kind is PolicyKind.OPTIMIZED:
         raise ValueError("optimized residual policy is not supported for targeted runs")
-
-    n = g.n
     sb_mask = s_mask & ~sr_mask
-    out = g.out_degree.astype(float)
-    nonsink = out > 0
-    sink = ~nonsink
-
-    in_s = s_mask[g.indices]
-    in_sr = sr_mask[g.indices]
-    pad = lambda arr: np.concatenate([arr, [0]])
-    seg = lambda arr: np.add.reduceat(pad(arr), g.indptr[:-1]) * (g.out_degree > 0)
-    d_s = seg(in_s.astype(np.int64)).astype(float)
-    d_sr = seg(in_sr.astype(np.int64)).astype(float)
-    d_sb = d_s - d_sr
-
-    # Per-row probability currently entering the target set.
-    s_mass = np.zeros(n)
-    s_mass[nonsink] = d_s[nonsink] / out[nonsink]
-    s_mass[sink] = s_mask.sum() / n
-
-    row_out = np.repeat(np.where(nonsink, 1.0 / np.maximum(out, 1.0), 0.0), g.out_degree)
-    residuals = []
-    u_sr = _uniform_on(sr_mask, n)
-    u_sb = _uniform_on(sb_mask, n)
-
-    if kind is PolicyKind.NEIGHBORHOOD:
-        share_sr = np.repeat(
-            np.where(d_sr > 0, phi * s_mass / np.maximum(d_sr, 1.0), 0.0), g.out_degree
-        )
-        share_sb = np.repeat(
-            np.where(d_sb > 0, (1.0 - phi) * s_mass / np.maximum(d_sb, 1.0), 0.0), g.out_degree
-        )
-        data = np.where(in_sr, share_sr, np.where(in_s, share_sb, row_out))
-        miss_sr = (s_mass > 0) & (d_sr == 0)
-        if miss_sr.any():
-            residuals.append((phi * s_mass * miss_sr, u_sr))
-        miss_sb = (s_mass > 0) & (d_sb == 0)
-        if miss_sb.any():
-            residuals.append(((1.0 - phi) * s_mass * miss_sb, u_sb))
-    else:
-        if kind is PolicyKind.UNIFORM:
-            xv, yv = u_sr, u_sb
-        else:
-            if p_o is None:
-                raise ValueError("proportional policy needs the original scores p_o")
-            p_o = np.asarray(p_o, dtype=float)
-            xv = np.where(sr_mask, np.maximum(p_o, 0.0), 0.0)
-            yv = np.where(sb_mask, np.maximum(p_o, 0.0), 0.0)
-            if xv.sum() <= 0 or yv.sum() <= 0:
-                raise ValueError("proportional policy undefined: a target part has zero score mass")
-            xv, yv = xv / xv.sum(), yv / yv.sum()
-
-        short_sr = nonsink & (d_s > 0) & (d_sr < phi * d_s)
-        rich_sr = nonsink & (d_s > 0) & ~short_sr
-        rho = np.zeros(n)
-        rho[short_sr] = (1.0 - phi) * s_mass[short_sr] / d_sb[short_sr]
-        rho[rich_sr] = phi * s_mass[rich_sr] / d_sr[rich_sr]
-        delta_r = np.zeros(n)
-        delta_b = np.zeros(n)
-        delta_r[short_sr] = s_mass[short_sr] * (
-            phi - (1.0 - phi) * d_sr[short_sr] / d_sb[short_sr]
-        )
-        delta_b[rich_sr] = s_mass[rich_sr] * (
-            (1.0 - phi) - phi * d_sb[rich_sr] / d_sr[rich_sr]
-        )
-        delta_r[sink] = phi * s_mass[sink]
-        delta_b[sink] = (1.0 - phi) * s_mass[sink]
-        data = np.where(in_s, np.repeat(rho, g.out_degree), row_out)
-        if delta_r.any():
-            residuals.append((delta_r, xv))
-        if delta_b.any():
-            residuals.append((delta_b, yv))
-
-    if sink.any() and s_mask.sum() < n:
-        outside = np.zeros(n)
-        outside[~s_mask] = 1.0 / n
-        residuals.append((sink.astype(float), outside))
-
-    base = sparse.csr_matrix((data, g.indices.copy(), g.indptr.copy()), shape=(n, n))
-    return TransitionModel(base=base, residuals=tuple(residuals))
+    neighborhood = kind is PolicyKind.NEIGHBORHOOD
+    # The neighborhood split owes a missing part in full, spread uniformly.
+    x, y = _fixed_policy_vectors(PolicyKind.UNIFORM if neighborhood else kind, sr_mask, sb_mask, p_o)
+    return _split_rows(g, s_mask, sr_mask, phi, neighborhood).model(x, y)
 
 
 def targeted_lfpr(

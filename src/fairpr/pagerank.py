@@ -140,6 +140,14 @@ def power_iterate(
     return solve_left(m, v, gamma, tol=tol, max_iters=max_iters)
 
 
+def _check_gamma(gamma: float) -> float:
+    """Outside (0, 1) the fixed-point maps below do not contract to a PageRank."""
+    gamma = float(gamma)
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"gamma must lie strictly between 0 and 1, got {gamma}")
+    return gamma
+
+
 def solve_left(m, v, gamma, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, start=None):
     """Fixed point of ``p' = (1 - gamma) p' M + gamma v'`` for arbitrary v.
 
@@ -147,6 +155,7 @@ def solve_left(m, v, gamma, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, start=
     row-stochastic, so this converges for any right-hand side, including
     the non-distribution vectors used inside gradient computations.
     """
+    gamma = _check_gamma(gamma)
     v = np.asarray(v, dtype=float)
     p = v.copy() if start is None else np.asarray(start, dtype=float).copy()
     for _ in range(max_iters):
@@ -160,6 +169,7 @@ def solve_left(m, v, gamma, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, start=
 
 def solve_right(m, r, gamma, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, start=None):
     """Fixed point of ``q = gamma r + (1 - gamma) M q`` (max-norm contraction)."""
+    gamma = _check_gamma(gamma)
     r = np.asarray(r, dtype=float)
     q = r.copy() if start is None else np.asarray(start, dtype=float).copy()
     for _ in range(max_iters):
@@ -216,6 +226,7 @@ def dense_q(m: TransitionModel, gamma: float = DEFAULT_GAMMA, cap: int = DENSE_C
     Row i is the personalized PageRank of node i; Q is row-stochastic.
     Quadratic memory, so refuse beyond ``cap`` nodes.
     """
+    gamma = _check_gamma(gamma)
     if m.n > cap:
         raise ValueError(f"dense resolvent limited to {cap} nodes, got {m.n}")
     a = np.eye(m.n) - (1.0 - gamma) * m.to_dense()

@@ -11,13 +11,15 @@ from fairpr.analysis import (
     make_report,
     personalized_audit,
     red_mass,
+    targeted_lower_bound_loss,
     utility_loss,
     write_audit_csv,
     write_histogram_csv,
     write_report_json,
 )
 from fairpr.graph import from_edges
-from fairpr.lfpr import build_residual_model, make_policy
+from fairpr.fspr import solve_fspr, targeted_fspr_problem
+from fairpr.lfpr import build_residual_model, make_policy, targeted_lfpr
 from fairpr.pagerank import from_dense, pagerank, standard_transition
 
 GAMMA = 0.15
@@ -178,3 +180,33 @@ def test_audit_csv_outputs(tmp_path):
     h_lines = (tmp_path / "h.csv").read_text().splitlines()
     assert h_lines[0] == "bin_lo,bin_hi,red_count,blue_count"
     assert len(h_lines) == 21
+
+
+def test_targeted_lower_bound_sits_below_every_targeted_loss():
+    # w = projection of p_o onto {w >= 0, sum w = 1, w(S_R) = phi w(S)}
+    # bounds the loss of every targeted-fair ranking, for both solvers
+    rng = np.random.default_rng(12)
+    checked = 0
+    for _ in range(12):
+        g = random_colored_graph(rng, int(rng.integers(40, 90)), sink_frac=0.1)
+        m = standard_transition(g)
+        p_o = pagerank(m)
+        s = rng.choice(g.n, size=g.n // 5, replace=False)
+        s_r = s[g.red[s]]
+        if s_r.size == 0 or s_r.size == s.size:
+            continue
+        s_mask = np.isin(np.arange(g.n), s)
+        sr_mask = np.isin(np.arange(g.n), s_r)
+        phi = 0.5
+        bound = targeted_lower_bound_loss(p_o, s_mask, sr_mask, phi)
+        assert bound > 0.0
+        losses = [
+            utility_loss(targeted_lfpr(g, s, s_r, phi, kind=kind, p_o=p_o), p_o)
+            for kind in ("neighborhood", "uniform", "proportional")
+        ]
+        problem = targeted_fspr_problem(m, g, s, s_r, phi, p_o=p_o)
+        if problem.constraint.min() <= 0.0 <= problem.constraint.max():
+            losses.append(solve_fspr(problem).loss)
+        assert min(losses) >= bound - 1e-15
+        checked += 1
+    assert checked >= 8

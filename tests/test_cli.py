@@ -280,3 +280,63 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "rank" in proc.stdout
+
+
+@pytest.mark.parametrize("gamma", ["1.5", "1.0", "0", "-0.2", "nan"])
+def test_meaningless_gamma_exits_1_with_a_precise_message(tmp_path, graph_files, capsys, gamma):
+    edges, colors, _ = graph_files
+    graph = ["--edges", str(edges), "--colors", str(colors), "--gamma", gamma, "--out", str(tmp_path)]
+    for argv in (
+        ["rank", *graph, "--algo", "lfpr-n", "--phi", "0.3"],
+        ["audit", *graph, "--algo", "opr"],
+        ["sweep", *graph, "--phi", "0.3", "--algo", "lfpr-u"],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert "gamma must lie strictly between 0 and 1" in capsys.readouterr().err
+    assert not (tmp_path / "scores.csv").exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-8"])
+def test_meaningless_fspr_tolerance_exits_1(tmp_path, graph_files, capsys, tol):
+    edges, colors, _ = graph_files
+    rc = main(
+        [
+            "rank", "--edges", str(edges), "--colors", str(colors),
+            "--algo", "fspr", "--phi", "0.35", f"--tol={tol}", "--out", str(tmp_path),
+        ]
+    )
+    assert rc == 1
+    assert "tol must be a positive finite number" in capsys.readouterr().err
+
+
+def test_unconverged_fspr_warns_but_keeps_its_report(tmp_path, graph_files, capsys):
+    edges, colors, _ = graph_files
+    rc = main(
+        [
+            "rank", "--edges", str(edges), "--colors", str(colors),
+            "--algo", "fspr", "--phi", "0.35", "--iters", "1", "--out", str(tmp_path),
+        ]
+    )
+    assert rc == 0
+    assert capsys.readouterr().err.startswith("warning: fspr stopped after 1 iterations")
+    assert json.loads((tmp_path / "report.json").read_text())["converged"] is False
+
+
+@pytest.mark.parametrize("algo", ["fspr", "lfpr-n", "lfpr-u", "lfpr-p"])
+def test_rank_targeted_loss_sits_above_its_lower_bound(tmp_path, graph_files, algo):
+    edges, colors, g = graph_files
+    s = np.arange(0, g.n, 3)
+    (tmp_path / "s.txt").write_text("\n".join(map(str, s)) + "\n")
+    (tmp_path / "sr.txt").write_text("\n".join(map(str, s[g.red[s]])) + "\n")
+    rc = main(
+        [
+            "rank", "--edges", str(edges), "--colors", str(colors),
+            "--algo", algo, "--phi", "0.5", "--out", str(tmp_path),
+            "--target-set", str(tmp_path / "s.txt"),
+            "--target-protected", str(tmp_path / "sr.txt"),
+        ]
+    )
+    assert rc == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert 0.0 < report["lower_bound_loss"] <= report["loss"]

@@ -154,3 +154,29 @@ def test_solver_loss_never_beats_projection_lower_bound():
     phi = feasible_phi(q_r, 0.6)
     sol = solve_fspr(fspr_problem(m, g, phi, p_o=p_o))
     assert sol.loss >= lower_bound_loss(p_o, g, phi) - 1e-9
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-8])
+def test_solver_rejects_meaningless_tolerance(tol):
+    rng = np.random.default_rng(6)
+    g = random_colored_graph(rng, 20)
+    m = standard_transition(g)
+    prob = fspr_problem(m, g, feasible_phi(prob_qr_of(m, g), 0.5))
+    with pytest.raises(ValueError, match="tol"):
+        solve_fspr(prob, tol=tol)
+
+
+def test_targeted_problem_differs_from_global_only_in_its_constraint():
+    rng = np.random.default_rng(7)
+    g = random_colored_graph(rng, 30, sink_frac=0.1)
+    m = standard_transition(g)
+    s = np.arange(12)
+    s_r = s[g.red[s]]
+    glob = fspr_problem(m, g, 0.4)
+    targ = targeted_fspr_problem(m, g, s, s_r, 0.4)
+    for field in ("gamma", "phi", "p_o", "q_r"):
+        np.testing.assert_array_equal(getattr(glob, field), getattr(targ, field))
+    assert targ.rhs == 0.0
+    q = dense_q(m)
+    expected = q @ np.isin(np.arange(g.n), s_r) - 0.4 * (q @ np.isin(np.arange(g.n), s))
+    np.testing.assert_allclose(targ.constraint, expected, atol=1e-11)

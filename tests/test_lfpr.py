@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_colored_graph
 from fairpr.graph import from_edges
@@ -258,3 +260,67 @@ def test_phi_out_of_range_rejected(phi):
     g = from_edges(3, [(0, 1), (1, 2), (2, 0)], [True, False, False])
     with pytest.raises(ValueError):
         lfpr_pagerank(g, phi, make_policy("uniform", g))
+
+
+def test_global_builders_are_the_targeted_builder_at_s_all():
+    # global phi-fairness is targeted fairness with S = all nodes and S_R = red,
+    # and the global builders must reproduce that model bit for bit
+    rng = np.random.default_rng(13)
+    for phi in (0.1, 0.3, 0.7):
+        g = random_colored_graph(rng, 60, sink_frac=0.1)
+        everyone = np.ones(g.n, dtype=bool)
+        p_o = pagerank(standard_transition(g))
+        dec = residual_decompose(g, phi)
+        for kind in KINDS:
+            targeted = build_targeted_model(g, everyone, g.red, phi, kind, p_o=p_o)
+            policy = make_policy(kind, g, p_o=p_o)
+            models = [build_residual_model(g, phi, policy)]
+            if kind is PolicyKind.NEIGHBORHOOD:
+                models.append(build_neighborhood_model(g, phi))
+            else:
+                np.testing.assert_array_equal(dec.base.data, targeted.base.data)
+            for model in models:
+                np.testing.assert_array_equal(model.base.data, targeted.base.data)
+                np.testing.assert_array_equal(model.base.indices, targeted.base.indices)
+                np.testing.assert_array_equal(model.base.indptr, targeted.base.indptr)
+                assert len(model.residuals) == len(targeted.residuals)
+                for (d_a, t_a), (d_b, t_b) in zip(model.residuals, targeted.residuals):
+                    np.testing.assert_array_equal(d_a, d_b)
+                    np.testing.assert_array_equal(t_a, t_b)
+            np.testing.assert_array_equal(
+                lfpr_pagerank(g, phi, policy),
+                power_iterate(targeted, build_fair_jump(g, phi)),
+            )
+
+
+@st.composite
+def split_cases(draw):
+    n = draw(st.integers(4, 14))
+    red = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    assume(red.any() and not red.all())
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1))
+    sinks = draw(st.sets(st.integers(0, n - 1), max_size=n // 3))
+    edges = sorted((u, v) for u, v in edges if u != v and u not in sinks)
+    assume(edges)
+    s = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    s_r = s & np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    assume(s_r.any() and (s & ~s_r).any())
+    phi = draw(st.floats(0.01, 0.99))
+    kind = draw(st.sampled_from(KINDS))
+    return from_edges(n, edges, red), s, s_r, phi, kind
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_cases())
+def test_row_split_is_targeted_fair_and_leaves_the_rest_alone(case):
+    g, s_mask, sr_mask, phi, kind = case
+    p_o = pagerank(standard_transition(g))
+    model = build_targeted_model(g, s_mask, sr_mask, phi, kind, p_o=p_o)
+    model.validate()
+    np.testing.assert_allclose(
+        model.row_masses(sr_mask), phi * model.row_masses(s_mask), rtol=0.0, atol=1e-12
+    )
+    nonsink = ~g.sinks
+    dense = model.to_dense()[nonsink][:, ~s_mask]
+    std = standard_transition(g).to_dense()[nonsink][:, ~s_mask]
+    np.testing.assert_array_equal(dense, std)

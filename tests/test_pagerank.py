@@ -180,3 +180,16 @@ def test_write_scores_csv_full_precision(tmp_path):
     lines = (tmp_path / "s.csv").read_text().splitlines()
     assert lines[0] == "node,score"
     assert float(lines[1].split(",")[1]) == scores[0]
+
+
+@pytest.mark.parametrize("gamma", [1.5, 1.0, 0.0, -0.2, float("nan")])
+def test_fixed_point_engine_rejects_gamma_outside_unit_interval(gamma):
+    m = standard_transition(from_edges(3, [(0, 1), (1, 2), (2, 0)], [True, False, False]))
+    v = np.full(3, 1.0 / 3.0)
+    for solve in (solve_left, solve_right):
+        with pytest.raises(ValueError, match="gamma"):
+            solve(m, v, gamma)
+    with pytest.raises(ValueError, match="gamma"):
+        dense_q(m, gamma)
+    with pytest.raises(ValueError, match="gamma"):
+        pagerank(m, gamma)
