@@ -222,15 +222,19 @@ def make_report(
     phi: float,
     gamma: float = DEFAULT_GAMMA,
     tol: float = FAIRNESS_TOL,
+    lower_bound: float | None = None,
 ) -> FairnessReport:
+    """Fairness and loss of ``scores``; ``lower_bound`` defaults to the global bound."""
     mass = red_mass(scores, g)
+    if lower_bound is None:
+        lower_bound = lower_bound_loss(p_o, g, phi)
     return FairnessReport(
         phi=float(phi),
         gamma=float(gamma),
         red_mass=mass,
         fair=bool(abs(mass - phi) <= tol),
         loss=utility_loss(scores, p_o),
-        lower_bound_loss=lower_bound_loss(p_o, g, phi),
+        lower_bound_loss=lower_bound,
     )
 
 

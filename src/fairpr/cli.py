@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +29,11 @@ ALGOS = ("opr", "fspr", "lfpr-n", "lfpr-u", "lfpr-p", "lfpr-o")
 
 def _load_node_list(path) -> np.ndarray:
     nodes = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+    for lineno, line in graph._parse_lines(path):
+        try:
             nodes.append(int(line))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: node id must be an integer, got {line!r}") from None
     if not nodes:
         raise ValueError(f"{path}: no node ids")
     return np.asarray(nodes, dtype=np.int64)
@@ -132,9 +130,10 @@ def cmd_rank(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_scores_csv(out / "scores.csv", scores)
     phi = args.phi if args.phi is not None else g.n_red / g.n
-    report = analysis.make_report(scores, p_o, g, phi, gamma)
+    bound = None  # the global bound, unless the run is targeted
     if targets is not None:
         s_mask, sr_mask = lfpr._check_target_sets(g, *targets)
+        bound = analysis.targeted_lower_bound_loss(p_o, s_mask, sr_mask, phi)
         target_mass = float(scores[s_mask].sum())
         protected_mass = float(scores[sr_mask].sum())
         residual = abs(protected_mass - phi * target_mass)
@@ -142,8 +141,7 @@ def cmd_rank(args) -> int:
         extras["protected_target_mass"] = protected_mass
         extras["targeted_residual"] = residual
         extras["fair"] = bool(residual <= analysis.FAIRNESS_TOL)
-        bound = analysis.targeted_lower_bound_loss(p_o, s_mask, sr_mask, phi)
-        report = replace(report, lower_bound_loss=bound)
+    report = analysis.make_report(scores, p_o, g, phi, gamma, lower_bound=bound)
     jump = extras.pop("jump_vector", None)
     if jump is not None:
         with open(out / "solution.csv", "w", encoding="utf-8", newline="") as fh:
@@ -284,6 +282,13 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise argparse.ArgumentTypeError(f"tol must be a positive finite number, got {text}")
+    return tol
+
+
 def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok]
 
@@ -301,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-8, help="solver tolerance")
+        p.add_argument("--tol", type=_tolerance, default=1e-8, help="solver tolerance")
         p.add_argument("--iters", type=int, default=None, help="iteration budget")
         p.add_argument("--K", dest="directions", type=int, default=64,
                        help="directions per search round (lfpr-o)")

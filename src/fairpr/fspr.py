@@ -14,9 +14,14 @@ extreme coordinates reaches any value in between, and nothing outside.
 
 The solver is an accelerated projected gradient (FISTA with backtracking
 and restart).  Gradients never materialize Q: the forward product
-``x' Q`` and the adjoint product ``Q r`` are each one linear fixed-point
-solve, warm-started across iterations.  Projections onto the constraint
-set go through :func:`fairpr.simplex.project_fair_simplex`.
+``p = x' Q`` and the adjoint product ``Q (p - p_O)`` are each one linear
+fixed-point solve, warm-started across iterations.  Both are affine in
+x, so at the momentum point ``y = x_k + beta (x_k - x_{k-1})`` they are
+extrapolated from the two iterates with the same beta instead of solved.
+An iteration thus costs one forward solve per line-search trial plus one
+adjoint solve, and the best point is always one whose products were
+solved.  Projections onto the constraint set go through
+:func:`fairpr.simplex.project_fair_simplex`.
 
 The targeted variant constrains the protected share of a target set S:
 ``x' q_SR = phi * x' q_S`` becomes the single homogeneous constraint
@@ -170,28 +175,25 @@ def solve_fspr(
             f"within [{lo:.6g}, {hi:.6g}]"
         )
     model, gamma, p_o = problem.model, problem.gamma, problem.p_o
-    n = model.n
-
-    warm = {"fwd": None, "adj": None}
 
     def project(z):
         return project_fair_simplex(z, a, problem.rhs)
 
-    def forward(x):
-        p = solve_left(model, x, gamma, tol=INNER_TOL, start=warm["fwd"])
-        warm["fwd"] = p
+    def forward(x, start):
+        return solve_left(model, x, gamma, tol=INNER_TOL, start=start)
+
+    def gradient(p, start):
+        return 2.0 * solve_right(model, p - p_o, gamma, tol=INNER_TOL, start=start)
+
+    def loss(p):
         diff = p - p_o
-        return p, float(diff @ diff)
+        return float(diff @ diff)
 
-    def gradient(p):
-        r = solve_right(model, p - p_o, gamma, tol=INNER_TOL, start=warm["adj"])
-        warm["adj"] = r
-        return 2.0 * r
-
-    x = project(np.full(n, 1.0 / n))
-    _, f_x = forward(x)
-    best_x, best_f, best_kkt = x, f_x, np.inf
-    y = x
+    x = project(np.full(model.n, 1.0 / model.n))
+    p = forward(x, None)
+    cur = (x, p, gradient(p, None), loss(p))  # (x, p, grad, f) of a solved point
+    best, best_kkt = cur, np.inf
+    y = cur  # momentum point, same layout
     t_momentum = 1.0
     lip = 1.0
     iters_used = 0
@@ -199,52 +201,54 @@ def solve_fspr(
 
     for k in range(1, max_iters + 1):
         iters_used = k
-        p_y, f_y = forward(y)
-        g_y = gradient(p_y)
+        y_x, y_p, y_g, f_y = y
 
-        # Backtracking line search on the majorization at y.
+        # Backtracking line search on the majorization at y; one forward solve a trial.
+        p_new = y_p
         for _ in range(60):
-            x_new = project(y - g_y / lip)
-            step = x_new - y
-            _, f_new = forward(x_new)
-            bound = f_y + g_y @ step + 0.5 * lip * (step @ step)
+            x_new = project(y_x - y_g / lip)
+            step = x_new - y_x
+            p_new = forward(x_new, p_new)
+            f_new = loss(p_new)
+            bound = f_y + y_g @ step + 0.5 * lip * (step @ step)
             if f_new <= bound + 1e-13 * (1.0 + abs(f_y)):
                 break
             lip *= 2.0
 
-        g_new = gradient(forward(x_new)[0])
+        g_new = gradient(p_new, 0.5 * y_g)
+        new = (x_new, p_new, g_new, f_new)
         kkt = float(np.linalg.norm(x_new - project(x_new - g_new)))
-        if f_new < best_f:
-            best_x, best_f, best_kkt = x_new, f_new, kkt
+        if f_new < best[3]:
+            best, best_kkt = new, kkt
         if kkt <= tol:
-            best_x, best_f, best_kkt = x_new, f_new, kkt
+            best, best_kkt = new, kkt
             converged = True
             break
 
-        if f_new > f_x + 1e-12 * (1.0 + abs(f_x)):
+        if f_new > cur[3] + 1e-12 * (1.0 + abs(cur[3])):
             # Momentum overshot beyond solver noise: restart from the best point.
-            x = best_x
-            f_x = best_f
-            y = x
+            cur = y = best
             t_momentum = 1.0
             continue
-        if (y - x_new) @ (x_new - x) > 0.0:
+        if (y_x - x_new) @ (x_new - cur[0]) > 0.0:
             # Momentum points uphill: adaptive restart keeps the rate linear.
-            x, f_x = x_new, f_new
-            y = x
+            cur = y = new
             t_momentum = 1.0
         else:
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2))
-            y = x_new + ((t_momentum - 1.0) / t_next) * (x_new - x)
-            x, f_x = x_new, f_new
+            beta = (t_momentum - 1.0) / t_next
+            # x -> x'Q and x -> Q(x'Q - p_o) are affine: extrapolate them with x.
+            y_x, y_p, y_g = (v + beta * (v - v_old) for v, v_old in zip(new[:3], cur[:3]))
+            y = (y_x, y_p, y_g, loss(y_p))
+            cur = new
             t_momentum = t_next
         lip = max(lip * 0.9, 1e-6)
 
-    scores, loss = forward(best_x)
+    best_x, scores, _, best_f = best
     return FsprSolution(
         x=best_x,
         scores=scores,
-        loss=loss,
+        loss=best_f,
         achieved_fairness=float(best_x @ problem.q_r),
         constraint_residual=float(abs(a @ best_x - problem.rhs)),
         kkt_residual=best_kkt,

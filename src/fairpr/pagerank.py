@@ -18,6 +18,7 @@ with jump probability ``gamma`` and jump vector ``v``.  Writing
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -47,9 +48,14 @@ class TransitionModel:
     def n(self) -> int:
         return self.base.shape[0]
 
+    @cached_property
+    def base_t(self) -> sparse.csr_matrix:
+        """``base'`` in CSR form, built once instead of on every left product."""
+        return self.base.T.tocsr()
+
     def apply_left(self, p: np.ndarray) -> np.ndarray:
         """Row-vector product ``p' M``."""
-        out = self.base.T @ p
+        out = self.base_t @ p
         for delta, target in self.residuals:
             out = out + (p @ delta) * target
         return out

@@ -10,11 +10,18 @@ problem is a plain simplex projection, and the map
 
     h(nu) = a' P_simplex(z + nu a) - c
 
-is monotone nondecreasing in nu (a one-dimensional variational
-inequality), so nu is found by bisection.  A final 2x2 solve on the
-support of the bisection iterate recovers (mu, nu) exactly, which makes
-both equalities hold to machine precision whenever that support is the
-optimal one.
+is monotone nondecreasing and piecewise linear in nu: on a fixed support
+it is linear, and its root there is the (mu, nu) of a 2x2 system.  The
+search is therefore a Newton method on the support (Kiwiel 2008; Condat
+2016): each step projects once at nu, solves the 2x2 system on the
+support it finds, and stops when that support passes the KKT check.
+Otherwise the root becomes the next nu, safeguarded to the open bracket
+that the signs of h have established; a root outside it falls back to
+halving the bracket, or to growing it while one side is still open.
+A few steps suffice in practice.  The search runs on ``a - c`` with
+target 0, which changes neither h nor the projection but keeps the 2x2
+solve accurate when the support's values of ``a`` nearly coincide, so
+both equalities hold to machine precision.
 """
 
 from __future__ import annotations
@@ -42,8 +49,13 @@ def _face_projection(z, support):
     return x
 
 
-def _polish(z, a, c, support):
-    """Exact (mu, nu) on a fixed support; None if the support is invalid."""
+def _support_root(z, a, support):
+    """(mu, nu) with ``x = z + mu + nu a`` on ``support`` meeting ``sum x = 1, a' x = 0``.
+
+    This is the root of h restricted to the support, the exact point for a
+    fixed support; None when the 2x2 system is singular (an empty support,
+    or ``a`` constant on it).
+    """
     k = int(support.sum())
     if k == 0:
         return None
@@ -56,23 +68,24 @@ def _polish(z, a, c, support):
     if det <= 1e-14 * k * scale:
         return None
     r1 = 1.0 - zs.sum()
-    r2 = c - as_ @ zs
-    mu = (s2 * r1 - s1 * r2) / det
-    nu = (k * r2 - s1 * r1) / det
-    xs = zs + mu + nu * as_
+    r2 = -(as_ @ zs)
+    return (s2 * r1 - s1 * r2) / det, (k * r2 - s1 * r1) / det
+
+
+def _polish(z, a, support, mu, nu):
+    """``max(z + mu + nu a, 0)`` if (mu, nu) certify ``support`` by KKT, else None."""
+    xs = z[support] + mu + nu * a[support]
     if xs.min() < -1e-12:
         return None
     excluded = ~support
     if excluded.any() and (z[excluded] + mu + nu * a[excluded]).max() > 1e-10:
-        return None  # support from bisection was not the optimal one
+        return None  # the support was not the optimal one
     x = np.zeros_like(z)
     x[support] = np.maximum(xs, 0.0)
     return x
 
 
-def project_fair_simplex(
-    z: np.ndarray, a: np.ndarray, c: float, bisect_steps: int = 100
-) -> np.ndarray:
+def project_fair_simplex(z: np.ndarray, a: np.ndarray, c: float) -> np.ndarray:
     """Project ``z`` onto ``{x >= 0, sum x = 1, a' x = c}``.
 
     Raises :class:`InfeasibleError` when ``c`` lies outside
@@ -90,33 +103,35 @@ def project_fair_simplex(
     if spread <= slack:
         # Constraint is constant over the simplex: vacuous when it holds.
         return project_simplex(z)
-    if c >= amax - slack:
+    if c >= amax:
         return _face_projection(z, a >= amax - 0.5 * spread * 1e-9)
-    if c <= amin + slack:
+    if c <= amin:
         return _face_projection(z, a <= amin + 0.5 * spread * 1e-9)
 
-    def h(nu):
+    a = a - c  # target 0 from here on (see the module docstring)
+    lo, hi = -np.inf, np.inf  # h(lo) < 0 <= h(hi)
+    nu = 0.0
+    # A safety bound: every step narrows the bracket or doubles its open side.
+    for _ in range(500):
         x = project_simplex(z + nu * a)
-        return a @ x - c
-
-    lo, hi = -1.0, 1.0
-    for _ in range(200):
-        if h(lo) <= 0.0:
-            break
-        lo *= 2.0
-    for _ in range(200):
-        if h(hi) >= 0.0:
-            break
-        hi *= 2.0
-    for _ in range(bisect_steps):
-        mid = 0.5 * (lo + hi)
-        if h(mid) < 0.0:
-            lo = mid
+        support = x > 0.0
+        root = _support_root(z, a, support)
+        if root is not None:
+            polished = _polish(z, a, support, *root)
+            if polished is not None:
+                return polished
+        if a @ x < 0.0:
+            lo = nu
         else:
-            hi = mid
-    x = project_simplex(z + 0.5 * (lo + hi) * a)
-
-    polished = _polish(z, a, c, x > 0.0)
-    if polished is not None:
-        return polished
+            hi = nu
+        if root is not None and lo < root[1] < hi:
+            nu = root[1]
+        elif np.isinf(hi):
+            nu = lo + max(1.0, abs(lo))
+        elif np.isinf(lo):
+            nu = hi - max(1.0, abs(hi))
+        else:
+            nu = 0.5 * (lo + hi)
+            if not lo < nu < hi:
+                break  # bracket exhausted at machine precision
     return x

@@ -340,3 +340,37 @@ def test_rank_targeted_loss_sits_above_its_lower_bound(tmp_path, graph_files, al
     assert rc == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert 0.0 < report["lower_bound_loss"] <= report["loss"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-8"])
+def test_meaningless_tolerance_is_rejected_by_every_subcommand(tmp_path, graph_files, capsys, tol):
+    edges, colors, _ = graph_files
+    graph = ["--edges", str(edges), "--colors", str(colors), f"--tol={tol}", "--out", str(tmp_path)]
+    for argv in (
+        ["rank", *graph, "--algo", "lfpr-u", "--phi", "0.3"],
+        ["sweep", *graph, "--phi", "0.3", "--algo", "fspr,lfpr-u"],
+        ["audit", *graph, "--algo", "opr"],
+        ["generate", "--n", "30", "--r", "0.3", "--alpha-red", "0.5", "--alpha-blue", "0.5",
+         f"--tol={tol}", "--out", str(tmp_path)],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "--tol" in err and "tol must be a positive finite number" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_malformed_target_node_id_names_its_file_and_line(tmp_path, graph_files, capsys):
+    edges, colors, _ = graph_files
+    (tmp_path / "s.txt").write_text("# target set\n0\n\nx1\n2\n")
+    (tmp_path / "sr.txt").write_text("0\n")
+    rc = main(
+        [
+            "rank", "--edges", str(edges), "--colors", str(colors),
+            "--algo", "lfpr-n", "--phi", "0.5", "--out", str(tmp_path / "out"),
+            "--target-set", str(tmp_path / "s.txt"),
+            "--target-protected", str(tmp_path / "sr.txt"),
+        ]
+    )
+    assert rc == 1
+    assert f"{tmp_path / 's.txt'}:4: node id must be an integer, got 'x1'" in capsys.readouterr().err

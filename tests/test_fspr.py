@@ -14,7 +14,8 @@ from fairpr.fspr import (
     targeted_fspr_problem,
     two_point_jump,
 )
-from fairpr.pagerank import dense_q, pagerank, standard_transition
+from fairpr.pagerank import dense_q, pagerank, solve_left, solve_right, standard_transition
+from fairpr.simplex import project_fair_simplex
 
 
 def dense_loss(q, p_o, x):
@@ -180,3 +181,34 @@ def test_targeted_problem_differs_from_global_only_in_its_constraint():
     q = dense_q(m)
     expected = q @ np.isin(np.arange(g.n), s_r) - 0.4 * (q @ np.isin(np.arange(g.n), s))
     np.testing.assert_allclose(targ.constraint, expected, atol=1e-11)
+
+
+@pytest.mark.parametrize("targeted", [False, True])
+def test_products_reused_by_linearity_keep_the_solution_exact(targeted):
+    # The solver extrapolates x'Q and its gradient instead of solving at the
+    # momentum point; cold solves at the returned x must confirm every claim.
+    for seed in range(4):
+        rng = np.random.default_rng(200 + seed)
+        g = random_colored_graph(rng, 40, sink_frac=0.2)
+        m = standard_transition(g)
+        assert m.residuals  # sinks add the rank-one dangling term
+        p_o = pagerank(m)
+        q = dense_q(m)
+        if targeted:
+            s = np.arange(0, g.n, 2)
+            s_r = s[g.red[s]]
+            ratios = (q @ np.isin(np.arange(g.n), s_r)) / (q @ np.isin(np.arange(g.n), s))
+            phi = float(0.5 * (ratios.min() + ratios.max()))
+            prob = targeted_fspr_problem(m, g, s, s_r, phi, p_o=p_o)
+        else:
+            prob = fspr_problem(m, g, feasible_phi(prob_qr_of(m, g), 0.3), p_o=p_o)
+        tol = 1e-8
+        sol = solve_fspr(prob, tol=tol)
+        assert sol.converged
+        p = solve_left(m, sol.x, prob.gamma, tol=1e-14)
+        grad = 2.0 * solve_right(m, p - p_o, prob.gamma, tol=1e-14)
+        step = sol.x - project_fair_simplex(sol.x - grad, prob.constraint, prob.rhs)
+        assert np.linalg.norm(step) <= tol
+        np.testing.assert_allclose(sol.scores, sol.x @ q, rtol=0.0, atol=1e-10)
+        x_dense = solve_fspr_dense(q, p_o, prob.constraint, prob.rhs)
+        assert sol.loss <= dense_loss(q, p_o, x_dense) + 1e-10

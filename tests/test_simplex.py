@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from fairpr import simplex
 from fairpr.errors import InfeasibleError
 from fairpr.simplex import project_fair_simplex, project_simplex
 
@@ -11,6 +14,92 @@ def fit_multipliers(z, a, x):
     design = np.column_stack([np.ones(support.sum()), a[support]])
     coef, *_ = np.linalg.lstsq(design, (x - z)[support], rcond=None)
     return coef, support
+
+
+def bisection_reference(z, a, c, steps=200):
+    """Independent solve: bracket nu, then bisect h(nu) = a'P(z + nu a) - c.
+
+    It works with ``a - c`` and target 0, which leaves P and h unchanged but
+    keeps ``z + nu (a - c)`` accurate on the support when nu is large.
+    """
+    a = a - c
+
+    def h(nu):
+        return a @ project_simplex(z + nu * a)
+
+    lo, hi = -1.0, 1.0
+    for _ in range(200):
+        if h(lo) <= 0.0:
+            break
+        lo *= 2.0
+    for _ in range(200):
+        if h(hi) >= 0.0:
+            break
+        hi *= 2.0
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if h(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return project_simplex(z + 0.5 * (lo + hi) * a)
+
+
+def assert_kkt_certificate(z, a, x, atol):
+    """The certificate of test_fair_projection_kkt_certificate, atol scaled by (mu, nu)."""
+    (mu, nu), support = fit_multipliers(z, a, x)
+    scale = 1.0 + abs(mu) + abs(nu) * np.abs(a).max()
+    np.testing.assert_allclose((x - z)[support], mu + nu * a[support], atol=atol * scale)
+    off = ~support
+    if off.any():
+        assert (z[off] + mu + nu * a[off]).max() <= atol * scale
+
+
+@st.composite
+def fair_projection_cases(draw):
+    """Random z and a: ties in a, mixed signs, and c near min a or max a."""
+    n = draw(st.integers(2, 40))
+    z = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        levels = draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=4, unique=True))
+        a = np.array(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n)))
+    else:
+        a = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    assume(np.ptp(a) >= 1e-6)
+    near_ends = st.sampled_from([1e-9, 1e-6, 1e-3, 1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-9])
+    frac = draw(st.one_of(near_ends, st.floats(1e-3, 1.0 - 1e-3)))
+    return z, a, float(a.min() + frac * np.ptp(a))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fair_projection_cases())
+def test_fair_projection_is_feasible_optimal_and_no_farther_than_bisection(case):
+    z, a, c = case
+    x = project_fair_simplex(z, a, c)
+    assert x.min() >= 0.0
+    assert abs(x.sum() - 1.0) <= 1e-10
+    assert abs(a @ x - c) <= 1e-10
+    assert_kkt_certificate(z, a, x, atol=1e-8)
+    ref = bisection_reference(z, a, c)
+    d, d_ref = np.sum((x - z) ** 2), np.sum((ref - z) ** 2)
+    assert d <= d_ref + 1e-9 * (1.0 + d_ref)
+
+
+def test_fair_projection_needs_few_simplex_projections(monkeypatch):
+    # the support Newton step replaces ~100 bisection sorts per projection
+    calls = []
+    inner = simplex.project_simplex
+    monkeypatch.setattr(simplex, "project_simplex", lambda v: calls.append(1) or inner(v))
+    rng = np.random.default_rng(8)
+    n = 1000
+    for _ in range(10):
+        a = rng.uniform(size=n)
+        z = rng.dirichlet(np.ones(n)) - rng.normal(scale=1.0 / n, size=n)
+        c = float(rng.uniform(a.min(), a.max()))
+        calls.clear()
+        x = project_fair_simplex(z, a, c)
+        assert abs(a @ x - c) <= 1e-12
+        assert len(calls) <= 12
 
 
 def test_project_simplex_known_points():
