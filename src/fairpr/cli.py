@@ -45,26 +45,25 @@ def _require_phi(phi):
     return phi
 
 
+def _solver_fields(algo, result, tol) -> dict:
+    """Report fields of an iterative solve; an exhausted budget also warns on stderr."""
+    if not result.converged:
+        print(
+            f"warning: {algo} stopped after {result.iterations} iterations with "
+            f"KKT residual {result.kkt_residual:.3e} above --tol {tol:g}",
+            file=sys.stderr,
+        )
+    return {"iterations": result.iterations, "converged": result.converged, "kkt_residual": result.kkt_residual}
+
+
 def _lfpr_policy(g, algo, args, phi, gamma, p_o):
-    """Residual policy of a global lfpr algorithm, plus lfpr-o's search counts."""
+    """Residual policy of a global lfpr algorithm, plus lfpr-o's solver fields."""
     if algo != "lfpr-o":
         return lfpr.make_policy(LFPR_KINDS[algo], g, p_o=p_o), {}
     result = lfpr.optimize_residuals(
-        g,
-        phi,
-        gamma,
-        p_o,
-        iterations=args.iters if args.iters else 200,
-        directions=args.directions,
-        penalty=args.penalty,
-        seed=args.seed,
+        g, phi, gamma, p_o, iterations=200 if args.iters is None else args.iters, tol=args.tol
     )
-    stats = {
-        "search_iterations": result.iterations,
-        "search_evaluations": result.evaluations,
-        "penalty_residual": result.penalty_residual,
-    }
-    return result.policy, stats
+    return result.policy, _solver_fields(algo, result, args.tol)
 
 
 def _rank_once(g, algo, args, phi, p_o, gamma, targets):
@@ -86,23 +85,15 @@ def _rank_once(g, algo, args, phi, p_o, gamma, targets):
                 model, g, targets[0], targets[1], phi, gamma, p_o=p_o
             )
         solution = fspr.solve_fspr(
-            problem, tol=args.tol, max_iters=args.iters if args.iters else 5000
+            problem, tol=args.tol, max_iters=5000 if args.iters is None else args.iters
         )
-        if not solution.converged:
-            print(
-                f"warning: fspr stopped after {solution.iterations} iterations with "
-                f"KKT residual {solution.kkt_residual:.3e} above --tol {args.tol:g}",
-                file=sys.stderr,
-            )
         scores = solution.scores
         extras.update(
             {
                 "fairness_residual": solution.constraint_residual,
                 "achieved_fairness": solution.achieved_fairness,
-                "iterations": solution.iterations,
-                "converged": solution.converged,
-                "kkt_residual": solution.kkt_residual,
                 "jump_vector": solution.x,
+                **_solver_fields(algo, solution, args.tol),
             }
         )
     elif targets is None:
@@ -289,6 +280,12 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _budget(text: str) -> int:
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"iters must be a positive integer, got {text}")
+    return int(text)
+
+
 def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok]
 
@@ -307,11 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=_tolerance, default=1e-8, help="solver tolerance")
-        p.add_argument("--iters", type=int, default=None, help="iteration budget")
-        p.add_argument("--K", dest="directions", type=int, default=64,
-                       help="directions per search round (lfpr-o)")
-        p.add_argument("--lambda", dest="penalty", type=float, default=10.0,
-                       help="sum-constraint penalty weight (lfpr-o)")
+        p.add_argument("--iters", type=_budget, default=None,
+                       help="iteration budget (fspr 5000, lfpr-o 200)")
 
     p_rank = sub.add_parser("rank", help="compute one fair ranking")
     common(p_rank)

@@ -40,6 +40,7 @@ from .graph import ColoredGraph
 from .lfpr import _check_phi, _check_target_sets
 from .pagerank import (
     DEFAULT_GAMMA,
+    INNER_TOL,
     TransitionModel,
     absorption_vector,
     pagerank,
@@ -48,8 +49,6 @@ from .pagerank import (
     solve_right,
 )
 from .simplex import project_fair_simplex
-
-INNER_TOL = 1e-13
 
 
 class Feasibility(Enum):
@@ -167,6 +166,8 @@ def solve_fspr(
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be a positive finite number, got {tol}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     a = problem.constraint
     if feasibility_check(a, problem.rhs) is not Feasibility.FEASIBLE:
         lo, hi = float(a.min()), float(a.max())

@@ -11,7 +11,9 @@ serve from its own out-neighbors without exceeding its group quota) plus
 a residual ``delta`` that must be redistributed inside the short group.
 How the residual is spread is the policy: over the node's own neighbors,
 uniformly over the group, proportionally to the original PageRank, or
-optimized to minimize utility loss.
+optimized to minimize utility loss.  The optimized policy comes from a
+matrix-free projected gradient over the red and blue simplices; each
+gradient is one adjoint fixed-point solve (``optimize_residuals``).
 
 The global model is the targeted model at S = all nodes and S_R = red:
 targeted fairness splits only the mass a row sends into a target set S,
@@ -33,9 +35,12 @@ from .graph import ColoredGraph
 from .pagerank import (
     DEFAULT_GAMMA,
     DEFAULT_TOL,
+    INNER_TOL,
     TransitionModel,
     pagerank,
     power_iterate,
+    solve_left,
+    solve_right,
     standard_transition,
 )
 from .simplex import project_simplex
@@ -208,89 +213,40 @@ def lfpr_pagerank(
     return power_iterate(model, v, gamma, tol=tol)
 
 
-class _RankTwoResolvent:
-    """Fast exact evaluator for the locally fair fixed point.
-
-    The transition matrix is ``P_L + delta_R x' + delta_B y'`` where only
-    the rank-one parts depend on the search variables, so with
-    ``B = [I - (1 - gamma) P_L]^{-1}`` precomputed once, each candidate
-    score vector follows from the rank-2 Woodbury identity at the cost of
-    two (K, n) x (n, n) products per batch of K candidates.
-    """
-
-    def __init__(self, dec: ResidualDecomposition, jump, gamma, p_o):
-        n = dec.base.shape[0]
-        a_mat = np.eye(n) - (1.0 - gamma) * dec.base.toarray()
-        self.b = np.linalg.inv(a_mat)
-        self.u = (1.0 - gamma) * np.column_stack([dec.delta_red, dec.delta_blue])
-        self.w = self.b @ self.u
-        self.a_row = gamma * (jump @ self.b)
-        self.c2 = self.a_row @ self.u
-        self.p_o = p_o
-
-    def scores_batch(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Score vectors for K candidate (x, y) pairs; also returns validity."""
-        xw = xs @ self.w
-        yw = ys @ self.w
-        m11 = 1.0 - xw[:, 0]
-        m12 = -xw[:, 1]
-        m21 = -yw[:, 0]
-        m22 = 1.0 - yw[:, 1]
-        det = m11 * m22 - m12 * m21
-        ok = np.abs(det) > 1e-12
-        safe = np.where(ok, det, 1.0)
-        alpha = (self.c2[0] * m22 - self.c2[1] * m21) / safe
-        beta = (-self.c2[0] * m12 + self.c2[1] * m11) / safe
-        scores = self.a_row[None, :] + alpha[:, None] * (xs @ self.b) + beta[:, None] * (ys @ self.b)
-        return scores, ok
-
-    def loss_batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        scores, ok = self.scores_batch(xs, ys)
-        diff = scores - self.p_o[None, :]
-        loss = np.einsum("ij,ij->i", diff, diff)
-        return np.where(ok, loss, np.inf)
-
-
-def _golden_batch(f_of_t, t_hi, n_evals):
-    """Vectorized golden-section search on [0, t_hi] per coordinate.
-
-    Returns the best (t, f) seen among all evaluated points; the objective
-    need not be unimodal, in which case this is a best-effort sampler.
-    """
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    lo = np.zeros_like(t_hi)
-    hi = t_hi.astype(float).copy()
-    m1 = hi - invphi * (hi - lo)
-    m2 = lo + invphi * (hi - lo)
-    f1 = f_of_t(m1)
-    f2 = f_of_t(m2)
-    best_t = np.where(f1 <= f2, m1, m2)
-    best_f = np.minimum(f1, f2)
-    for _ in range(max(0, n_evals - 2)):
-        take = f1 < f2
-        lo = np.where(take, lo, m1)
-        hi = np.where(take, m2, hi)
-        surv_m = np.where(take, m1, m2)
-        surv_f = np.where(take, f1, f2)
-        new_m = np.where(take, hi - invphi * (hi - lo), lo + invphi * (hi - lo))
-        new_f = f_of_t(new_m)
-        m1 = np.where(take, new_m, surv_m)
-        f1 = np.where(take, new_f, surv_f)
-        m2 = np.where(take, surv_m, new_m)
-        f2 = np.where(take, surv_f, new_f)
-        upd = new_f < best_f
-        best_t = np.where(upd, new_m, best_t)
-        best_f = np.where(upd, new_f, best_f)
-    return best_t, best_f
-
-
 @dataclass(frozen=True)
 class OptimizedSearchResult:
     policy: ResidualPolicy
     loss: float
-    penalty_residual: float
+    converged: bool
+    kkt_residual: float
     iterations: int
     evaluations: int
+
+
+def _utility_loss(g: ColoredGraph, phi: float, gamma: float, p_o: np.ndarray):
+    r"""Forward and adjoint maps of ``f(z) = ||p(z) - p_o||^2`` at ``z = x + y``.
+
+    ``p`` is the PageRank of ``P_L + delta_R x' + delta_B y'`` under the fair
+    jump, with ``x`` on red and ``y`` on blue nodes.  Differentiating the fixed
+    point gives, with ``r = Q (p - p_o)``, ``grad f = 2 (1 - gamma) / gamma *
+    (p' delta_R) * r`` on red nodes and the same with ``delta_B`` on blue ones.
+    ``forward`` returns ``(model, p, f)`` and ``gradient`` returns ``(grad, r)``,
+    each from one solve warm-started at ``start``.
+    """
+    split = _split_rows(g, _everyone(g), g.red, phi, neighborhood=False)
+    jump = build_fair_jump(g, phi)
+    scale = 2.0 * (1.0 - gamma) / gamma
+
+    def forward(z, start=None):
+        model = split.model(np.where(g.red, z, 0.0), np.where(g.red, 0.0, z))
+        p = solve_left(model, jump, gamma, tol=INNER_TOL, start=start)
+        return model, p, float((p - p_o) @ (p - p_o))
+
+    def gradient(model, p, start=None):
+        r = solve_right(model, p - p_o, gamma, tol=INNER_TOL, start=start)
+        return scale * np.where(g.red, p @ split.delta_r, p @ split.delta_b) * r, r
+
+    return forward, gradient
 
 
 def optimize_residuals(
@@ -300,113 +256,75 @@ def optimize_residuals(
     p_o: np.ndarray | None = None,
     *,
     iterations: int = 200,
-    directions: int = 64,
-    penalty: float = 10.0,
-    line_search_evals: int = 16,
-    seed: int = 0,
-    rel_tol: float = 1e-9,
-    dense_cap: int = 4000,
-    tol: float = DEFAULT_TOL,
+    tol: float = 1e-8,
 ) -> OptimizedSearchResult:
-    """Search for redistribution vectors minimizing the utility loss.
+    """Redistribution vectors minimizing the utility loss, by projected gradient.
 
-    Stochastic direction search: each round samples ``directions`` random
-    unit directions over the stacked (x, y) coordinates, line-searches each
-    by golden section, and takes the best improvement.  Iterates keep all
-    coordinates nonnegative and cap each sum slightly above one so the
-    fixed point stays well defined; deviation from the simplex is charged
-    ``penalty * ((sum x - 1)^2 + (sum y - 1)^2)``.  The final vectors are
-    projected back onto their group simplices, and the returned policy is
-    the best of {search result, uniform, proportional} under the exact
-    fixed-point loss, so it never trails those baselines.
-
-    Deterministic for a fixed seed.  Requires a dense factorization of the
-    neutral part, hence the ``dense_cap`` guard.
+    Minimizes ``||p(x, y) - p_o||^2`` over ``x`` on the red and ``y`` on the
+    blue simplex, from the uniform policy (gradient: :func:`_utility_loss`).
+    Each iteration takes one projected step, found with the backtracking
+    test of :func:`fairpr.fspr.solve_fspr` (one forward solve a trial), and
+    solves for the gradient at the new point.  It stops when the unit-step
+    projected-gradient residual is at most ``tol``, or after ``iterations``
+    steps.  ``p`` is not affine in (x, y), so the loss need not be convex;
+    the policy returned is the best of the search (which starts at uniform)
+    and the proportional policy.  ``evaluations`` counts forward solves.
     """
     phi = _check_phi(phi)
-    if g.n > dense_cap:
-        raise ValueError(f"optimized search uses a dense solve, limited to {dense_cap} nodes")
+    if iterations < 1:
+        raise ValueError(f"iterations must be at least 1, got {iterations}")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
     if p_o is None:
-        p_o = pagerank(standard_transition(g), gamma, tol=tol)
+        p_o = pagerank(standard_transition(g), gamma)
+    red, blue = g.red, ~g.red
+    forward, gradient = _utility_loss(g, phi, gamma, p_o)
 
-    dec = residual_decompose(g, phi)
-    jump = build_fair_jump(g, phi)
-    engine = _RankTwoResolvent(dec, jump, gamma, p_o)
-    red_idx = g.red_nodes()
-    blue_idx = g.blue_nodes()
-    nr, nb = red_idx.size, blue_idx.size
-    # Row sums may reach 1 + margin during the search; keep the spectral
-    # radius of (1 - gamma) * M below 1.
-    margin = 0.5 * gamma / (1.0 - gamma)
+    def project(z):
+        out = np.empty(g.n)
+        out[red], out[blue] = project_simplex(z[red]), project_simplex(z[blue])
+        return out
 
-    def objective(xs, ys):
-        pen = penalty * ((xs.sum(axis=1) - 1.0) ** 2 + (ys.sum(axis=1) - 1.0) ** 2)
-        return engine.loss_batch(xs, ys) + pen
+    def point(z, solved, r_start):
+        """``(z, p, r, grad, f, kkt)`` of a solved ``z``, with ``r = Q (p - p_o)``."""
+        model, p, f = solved
+        grad, r = gradient(model, p, r_start)
+        return z, p, r, grad, f, float(np.linalg.norm(z - project(z - grad)))
 
-    x, y = _fixed_policy_vectors(PolicyKind.UNIFORM, g.red, ~g.red, p_o)
-    f_cur = float(objective(x[None, :], y[None, :])[0])
+    z = np.add(*_fixed_policy_vectors(PolicyKind.UNIFORM, red, blue, p_o))
+    cur = best = point(z, forward(z), None)
     evaluations = 1
-    rng = np.random.default_rng(seed)
-    rounds = 0
-    for _ in range(iterations):
-        rounds += 1
-        d = rng.standard_normal((directions, nr + nb))
-        d /= np.linalg.norm(d, axis=1, keepdims=True)
-        dx = np.zeros((directions, g.n))
-        dx[:, red_idx] = d[:, :nr]
-        dy = np.zeros((directions, g.n))
-        dy[:, blue_idx] = d[:, nr:]
-
-        t_hi = np.full(directions, 2.0)
-        for vec, dv in ((x, dx), (y, dy)):
-            neg = dv < 0
-            ratio = np.where(neg, vec[None, :] / np.where(neg, -dv, 1.0), np.inf)
-            t_hi = np.minimum(t_hi, ratio.min(axis=1))
-            dsum = dv.sum(axis=1)
-            head = (1.0 + margin) - vec.sum()
-            pos = dsum > 0
-            t_hi = np.minimum(t_hi, np.where(pos, head / np.where(pos, dsum, 1.0), np.inf))
-        t_hi = np.maximum(t_hi, 0.0)
-
-        def along(t):
-            xs = x[None, :] + t[:, None] * dx
-            ys = y[None, :] + t[:, None] * dy
-            return objective(np.maximum(xs, 0.0), np.maximum(ys, 0.0))
-
-        best_t, best_f = _golden_batch(along, t_hi, line_search_evals)
-        evaluations += line_search_evals * directions
-        k = int(np.argmin(best_f))
-        if not best_f[k] < f_cur - rel_tol * max(1.0, abs(f_cur)):
+    lip = 1.0
+    for iters_used in range(1, iterations + 1):
+        z_cur, p, r, grad, f, _ = cur
+        for _ in range(60):
+            z = project(z_cur - grad / lip)
+            step = z - z_cur
+            solved = forward(z, p)
+            evaluations += 1
+            p = solved[1]
+            if solved[2] <= f + grad @ step + 0.5 * lip * (step @ step) + 1e-13 * (1.0 + abs(f)):
+                break
+            lip *= 2.0
+        cur = point(z, solved, r)
+        if cur[4] < best[4] or cur[5] <= tol:
+            best = cur
+        if cur[5] <= tol:
             break
-        x = np.maximum(x + best_t[k] * dx[k], 0.0)
-        y = np.maximum(y + best_t[k] * dy[k], 0.0)
-        f_cur = float(objective(x[None, :], y[None, :])[0])
-        evaluations += 1
+        lip = max(lip * 0.9, 1e-6)
 
-    penalty_residual = float((x.sum() - 1.0) ** 2 + (y.sum() - 1.0) ** 2)
-    x_fin = np.zeros(g.n)
-    x_fin[red_idx] = project_simplex(x[red_idx])
-    y_fin = np.zeros(g.n)
-    y_fin[blue_idx] = project_simplex(y[blue_idx])
-
-    candidates = [
-        make_policy(PolicyKind.OPTIMIZED, g, x=x_fin, y=y_fin),
-        make_policy(PolicyKind.UNIFORM, g),
-        make_policy(PolicyKind.PROPORTIONAL, g, p_o=p_o),
-    ]
-    losses = []
-    for cand in candidates:
-        p = lfpr_pagerank(g, phi, cand, gamma, tol=tol)
-        diff = p - p_o
-        losses.append(float(diff @ diff))
-    best = int(np.argmin(losses))
-    chosen = candidates[best]
-    policy = ResidualPolicy(kind=PolicyKind.OPTIMIZED, x=chosen.x, y=chosen.y)
+    z = np.add(*_fixed_policy_vectors(PolicyKind.PROPORTIONAL, red, blue, p_o))
+    solved = forward(z, best[1])
+    evaluations += 1
+    if solved[2] < best[4]:
+        best = point(z, solved, best[2])
+    z, _, _, _, loss, kkt = best
     return OptimizedSearchResult(
-        policy=policy,
-        loss=losses[best],
-        penalty_residual=penalty_residual,
-        iterations=rounds,
+        policy=ResidualPolicy(PolicyKind.OPTIMIZED, x=np.where(red, z, 0.0), y=np.where(blue, z, 0.0)),
+        loss=loss,
+        converged=kkt <= tol,
+        kkt_residual=kkt,
+        iterations=iters_used,
         evaluations=evaluations,
     )
 

@@ -28,6 +28,7 @@ from .graph import ColoredGraph
 
 DEFAULT_GAMMA = 0.15
 DEFAULT_TOL = 1e-12
+INNER_TOL = 1e-13  # inside the optimizers, whose gradients need exact products
 DEFAULT_MAX_ITERS = 10_000
 DENSE_CAP = 2000
 

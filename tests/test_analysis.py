@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import clipped_lower_bound_oracle, random_colored_graph, row_fair_matrix
 from fairpr.analysis import (
@@ -18,8 +20,14 @@ from fairpr.analysis import (
     write_report_json,
 )
 from fairpr.graph import from_edges
-from fairpr.fspr import solve_fspr, targeted_fspr_problem
-from fairpr.lfpr import build_residual_model, make_policy, targeted_lfpr
+from fairpr.fspr import Feasibility, feasibility_check, fspr_problem, solve_fspr, targeted_fspr_problem
+from fairpr.lfpr import (
+    build_residual_model,
+    lfpr_pagerank,
+    make_policy,
+    optimize_residuals,
+    targeted_lfpr,
+)
 from fairpr.pagerank import from_dense, pagerank, standard_transition
 
 GAMMA = 0.15
@@ -210,3 +218,29 @@ def test_targeted_lower_bound_sits_below_every_targeted_loss():
         assert min(losses) >= bound - 1e-15
         checked += 1
     assert checked >= 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 30),
+    red_frac=st.floats(0.1, 0.9),
+    sink_frac=st.sampled_from([0.0, 0.1, 0.3]),
+    phi=st.floats(0.05, 0.95),
+)
+def test_lower_bound_sits_below_the_loss_of_every_algorithm(seed, n, red_frac, sink_frac, phi):
+    # small random graphs with sinks; fspr only where phi is attainable
+    g = random_colored_graph(np.random.default_rng(seed), n, red_frac=red_frac, sink_frac=sink_frac)
+    m = standard_transition(g)
+    p_o = pagerank(m)
+    bound = lower_bound_loss(p_o, g, phi)
+    losses = {
+        kind: utility_loss(lfpr_pagerank(g, phi, make_policy(kind, g, p_o=p_o)), p_o)
+        for kind in ("neighborhood", "uniform", "proportional")
+    }
+    losses["optimized"] = optimize_residuals(g, phi, p_o=p_o, iterations=20).loss
+    problem = fspr_problem(m, g, phi, p_o=p_o)
+    if feasibility_check(problem.q_r, phi) is Feasibility.FEASIBLE:
+        losses["fspr"] = solve_fspr(problem).loss
+    for name, loss in losses.items():
+        assert loss >= bound * (1.0 - 1e-9) - 1e-15, name

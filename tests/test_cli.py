@@ -1,11 +1,14 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fairpr
 from fairpr.cli import main
 from fairpr.graph import load_graph, save_graph
 from fairpr.synth import SynthConfig, generate
@@ -78,7 +81,7 @@ def test_rank_lfpr_o_writes_policy(tmp_path, graph_files):
     rc = main(
         [
             "rank", "--edges", str(edges), "--colors", str(colors),
-            "--algo", "lfpr-o", "--phi", "0.4", "--iters", "5", "--K", "8",
+            "--algo", "lfpr-o", "--phi", "0.4", "--iters", "5",
             "--seed", "1", "--out", str(tmp_path),
         ]
     )
@@ -275,8 +278,11 @@ def test_sweep_requires_some_input(tmp_path):
 
 
 def test_console_entry_point_runs():
+    # An uninstalled checkout: the child imports the package from src/.
+    src = str(Path(fairpr.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-m", "fairpr.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "fairpr.cli", "--help"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "rank" in proc.stdout
@@ -374,3 +380,84 @@ def test_malformed_target_node_id_names_its_file_and_line(tmp_path, graph_files,
     )
     assert rc == 1
     assert f"{tmp_path / 's.txt'}:4: node id must be an integer, got 'x1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("iters", ["0", "-3", "1.5", "many"])
+def test_meaningless_iteration_budget_is_rejected_by_every_subcommand(tmp_path, graph_files, capsys, iters):
+    edges, colors, _ = graph_files
+    graph = ["--edges", str(edges), "--colors", str(colors), "--iters", iters, "--out", str(tmp_path)]
+    for argv in (
+        ["rank", *graph, "--algo", "fspr", "--phi", "0.35"],
+        ["rank", *graph, "--algo", "lfpr-o", "--phi", "0.35"],
+        ["sweep", *graph, "--phi", "0.3", "--algo", "fspr,lfpr-o"],
+        ["audit", *graph, "--algo", "lfpr-o", "--phi", "0.3"],
+        ["generate", "--n", "30", "--r", "0.3", "--alpha-red", "0.5", "--alpha-blue", "0.5",
+         "--iters", iters, "--out", str(tmp_path)],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert f"argument --iters: iters must be a positive integer, got {iters}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["rank", "audit"])
+def test_unconverged_lfpr_o_warns_but_keeps_its_outputs(tmp_path, graph_files, capsys, command):
+    edges, colors, _ = graph_files
+    rc = main(
+        [
+            command, "--edges", str(edges), "--colors", str(colors),
+            "--algo", "lfpr-o", "--phi", "0.35", "--iters", "1", "--out", str(tmp_path),
+        ]
+    )
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: lfpr-o stopped after 1 iterations with KKT residual ")
+    assert err.rstrip().endswith("above --tol 1e-08")
+    if command == "rank":
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["iterations"] == 1 and report["converged"] is False
+        assert report["kkt_residual"] > 1e-8
+        assert not {"search_iterations", "search_evaluations", "penalty_residual"} & report.keys()
+    else:
+        assert (tmp_path / "audit.csv").exists()
+
+
+def test_converged_lfpr_o_is_silent(tmp_path, graph_files, capsys):
+    edges, colors, _ = graph_files
+    argv = ["rank", "--edges", str(edges), "--colors", str(colors),
+            "--algo", "lfpr-o", "--phi", "0.35", "--iters", "20000", "--tol", "1e-6"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["converged"] is True and report["kkt_residual"] <= 1e-6
+
+
+def test_lfpr_o_reruns_are_byte_identical(tmp_path, graph_files):
+    edges, colors, _ = graph_files
+    for sub in ("a", "b"):
+        rc = main(
+            [
+                "rank", "--edges", str(edges), "--colors", str(colors),
+                "--algo", "lfpr-o", "--phi", "0.35", "--out", str(tmp_path / sub),
+            ]
+        )
+        assert rc == 0
+    for name in ("scores.csv", "report.json", "policy.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_lfpr_o_runs_above_the_old_dense_limit(tmp_path):
+    # the search it replaced refused graphs above 4000 nodes
+    g = generate(SynthConfig(n=5000, red_fraction=0.3, alpha_red=0.8, alpha_blue=0.5,
+                             seed=12345, edges_per_node=2))
+    save_graph(g, tmp_path / "edges.tsv", tmp_path / "colors.tsv")
+    rc = main(
+        [
+            "rank", "--edges", str(tmp_path / "edges.tsv"), "--colors", str(tmp_path / "colors.tsv"),
+            "--algo", "lfpr-o", "--phi", "0.3", "--iters", "5", "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["fair"] is True and report["iterations"] == 5
+    assert report["loss"] >= report["lower_bound_loss"]

@@ -167,6 +167,16 @@ def test_solver_rejects_meaningless_tolerance(tol):
         solve_fspr(prob, tol=tol)
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_solver_rejects_an_empty_iteration_budget(budget):
+    rng = np.random.default_rng(6)
+    g = random_colored_graph(rng, 20)
+    m = standard_transition(g)
+    prob = fspr_problem(m, g, feasible_phi(prob_qr_of(m, g), 0.5))
+    with pytest.raises(ValueError, match="max_iters must be at least 1"):
+        solve_fspr(prob, max_iters=budget)
+
+
 def test_targeted_problem_differs_from_global_only_in_its_constraint():
     rng = np.random.default_rng(7)
     g = random_colored_graph(rng, 30, sink_frac=0.1)

@@ -1,3 +1,4 @@
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -193,3 +194,20 @@ def test_fixed_point_engine_rejects_gamma_outside_unit_interval(gamma):
         dense_q(m, gamma)
     with pytest.raises(ValueError, match="gamma"):
         pagerank(m, gamma)
+
+
+@pytest.mark.parametrize("gamma", [0.15, 0.4])
+def test_pagerank_agrees_with_networkx(gamma):
+    # an independent implementation: dangling rows jump uniformly in both
+    rng = np.random.default_rng(31)
+    for n in (5, 40, 300):
+        g = random_colored_graph(rng, n, sink_frac=0.2)
+        assert g.sinks.any()
+        digraph = nx.DiGraph()
+        digraph.add_nodes_from(range(n))
+        digraph.add_edges_from((u, int(v)) for u in range(n) for v in g.indices[g.indptr[u]:g.indptr[u + 1]])
+        oracle = nx.pagerank(digraph, alpha=1.0 - gamma, tol=1e-16, max_iter=10_000)
+        expected = np.array([oracle[i] for i in range(n)])
+        p = pagerank(standard_transition(g), gamma, tol=1e-14)
+        np.testing.assert_allclose(p, expected, rtol=0.0, atol=1e-9)
+        assert np.abs(p - expected).sum() <= 1e-9
