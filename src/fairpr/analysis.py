@@ -1,10 +1,10 @@
 r"""Fairness metrics, the utility-loss lower bound, and per-node audits.
 
-The gap between a fair vector and the original scores cannot be smaller
-than the cost of moving the missing mass with the fewest, flattest edits:
-that optimum has a water-filling shape (donors are clipped at a common
-level, recipients are raised uniformly), which ``lower_bound_vector``
-constructs directly by repeated uniform transfers.
+No fair vector is closer to the original scores than the Euclidean
+projection of ``p_o`` onto the fair distributions, which
+``lower_bound_vector`` computes with one ``project_fair_simplex`` call.
+The global bound is the targeted one at S = all nodes and S_R = red, so
+``targeted_lower_bound_loss`` runs the same projection.
 
 The personalized audit asks a stronger question than aggregate fairness:
 whose personal jump vector would be treated fairly?  For node ``i`` with
@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .graph import ColoredGraph
+from .lfpr import _check_phi
 from .pagerank import DEFAULT_GAMMA, TransitionModel, absorption_vector
 from .simplex import project_fair_simplex
 
@@ -46,41 +47,10 @@ def utility_loss(f: np.ndarray, p_o: np.ndarray) -> float:
 def lower_bound_vector(p_o: np.ndarray, g: ColoredGraph, phi: float) -> np.ndarray:
     """Fair vector closest to ``p_o``: the least possible utility loss.
 
-    Moves the red-mass deficit (or surplus) from the over-mass group to
-    the other in uniform rounds: each round removes the same amount from
-    every donor still positive, stopping a donor at zero, and finally adds
-    the moved mass uniformly over the recipient group.  This is the
-    water-filling optimum of minimizing ``||w - p_o||^2`` over
-    ``{w >= 0, sum w = 1, red mass = phi}``.
+    The projection of ``p_o`` onto ``{w >= 0, sum w = 1, red mass = phi}``,
+    which is the targeted projection at S = all nodes and S_R = red.
     """
-    if not 0.0 < phi < 1.0:
-        raise ValueError(f"phi must lie strictly between 0 and 1, got {phi}")
-    w = np.asarray(p_o, dtype=float).copy()
-    deficit = phi - red_mass(w, g)
-    if deficit == 0.0:
-        return w
-    donors_mask = ~g.red if deficit > 0 else g.red
-    recipients_mask = ~donors_mask
-    need = abs(deficit)
-
-    remaining = need
-    donors = np.nonzero(donors_mask)[0]
-    for _ in range(donors.size + 1):
-        if remaining <= 0.0:
-            break
-        active = donors[w[donors] > 0.0]
-        if active.size == 0:
-            raise ValueError("donor group has no mass left to transfer")
-        per = remaining / active.size
-        beta = w[active].min()
-        t = min(per, beta)
-        w[active] -= t
-        np.clip(w, 0.0, None, out=w)
-        remaining -= t * active.size
-        if t == per:
-            remaining = 0.0
-    w[recipients_mask] += need / recipients_mask.sum()
-    return w
+    return _fair_projection(p_o, np.ones(g.n, dtype=bool), g.red, _check_phi(phi))
 
 
 def lower_bound_loss(p_o: np.ndarray, g: ColoredGraph, phi: float) -> float:
@@ -96,8 +66,13 @@ def targeted_lower_bound_loss(
     ``sum w = 1`` and ``(1_SR - phi 1_S)' w = 0``, so the projection of
     ``p_o`` onto that set loses no more than any of them.
     """
+    return utility_loss(_fair_projection(p_o, s_mask, sr_mask, phi), p_o)
+
+
+def _fair_projection(p_o, s_mask, sr_mask, phi) -> np.ndarray:
+    """Projection of ``p_o`` onto ``{w >= 0, sum w = 1, (1_SR - phi 1_S)' w = 0}``."""
     a = sr_mask.astype(float) - phi * s_mask.astype(float)
-    return utility_loss(project_fair_simplex(p_o, a, 0.0), p_o)
+    return project_fair_simplex(p_o, a, 0.0)
 
 
 def converse_check(m: TransitionModel, g: ColoredGraph, phi: float, tol: float = 1e-9) -> bool:
@@ -155,8 +130,7 @@ def personalized_audit(
     that; an int requests that sample size; an array gives explicit ids.
     ``phi = None`` audits against the graph's red node share.
     """
-    if phi is None:
-        phi = g.n_red / g.n
+    phi = g.n_red / g.n if phi is None else _check_phi(phi)
     adjusted_all = absorption_vector(m, g.red.astype(float), gamma) - gamma * g.red
 
     if sample is None and g.n > full_threshold:

@@ -116,10 +116,6 @@ def cmd_rank(args) -> int:
         targets = (_load_node_list(args.target_set), _load_node_list(args.target_protected))
 
     scores, extras, policy = _rank_once(g, args.algo, args, args.phi, p_o, gamma, targets)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_scores_csv(out / "scores.csv", scores)
     phi = args.phi if args.phi is not None else g.n_red / g.n
     bound = None  # the global bound, unless the run is targeted
     if targets is not None:
@@ -133,6 +129,10 @@ def cmd_rank(args) -> int:
         extras["targeted_residual"] = residual
         extras["fair"] = bool(residual <= analysis.FAIRNESS_TOL)
     report = analysis.make_report(scores, p_o, g, phi, gamma, lower_bound=bound)
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_scores_csv(out / "scores.csv", scores)
     jump = extras.pop("jump_vector", None)
     if jump is not None:
         with open(out / "solution.csv", "w", encoding="utf-8", newline="") as fh:
@@ -302,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="color TSV: node<TAB>{0|1}, 1 = red")
         p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=_tolerance, default=1e-8, help="solver tolerance")
         p.add_argument("--iters", type=_budget, default=None,
                        help="iteration budget (fspr 5000, lfpr-o 200)")
@@ -327,6 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--grid-alpha-red", type=_float_list, default=[0.5])
     p_sweep.add_argument("--grid-alpha-blue", type=_float_list, default=[0.5])
     p_sweep.add_argument("--grid-seeds", type=int, default=1)
+    p_sweep.add_argument("--seed", type=int, default=0, help="seed of the synthetic grid")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_audit = sub.add_parser("audit", help="personalized fairness audit")
@@ -334,6 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--algo", choices=[a for a in ALGOS if a != "fspr"], default="opr")
     p_audit.add_argument("--phi", type=float, default=None)
     p_audit.add_argument("--sample", type=int, default=None, help="audit sample size")
+    p_audit.add_argument("--seed", type=int, default=0, help="seed of the audit sample")
     p_audit.set_defaults(func=cmd_audit)
 
     p_gen = sub.add_parser("generate", help="grow a synthetic colored graph")
@@ -344,6 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--alpha-blue", type=float, required=True)
     p_gen.add_argument("--n0", type=int, default=10, help="seed ring size")
     p_gen.add_argument("--edges-per-node", type=int, default=1)
+    p_gen.add_argument("--seed", type=int, default=0, help="generator seed")
     p_gen.set_defaults(func=cmd_generate)
     return parser
 

@@ -142,6 +142,8 @@ def load_graph(edge_path, color_path) -> ColoredGraph:
             node, color = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphError(f"{color_path}:{lineno}: non-integer token") from None
+        if node < 0:
+            raise GraphError(f"{color_path}:{lineno}: node id must be nonnegative, got {node}")
         if color not in (0, 1):
             raise GraphError(f"{color_path}:{lineno}: color must be 0 or 1")
         if node in colors:

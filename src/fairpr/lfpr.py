@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -372,10 +373,15 @@ class _RowSplit:
     rho: np.ndarray | None = None
     short: np.ndarray | None = None
 
+    @cached_property
+    def _bare(self) -> TransitionModel:
+        """``base`` alone; every model of this split shares its transpose."""
+        return TransitionModel(base=self.base)
+
     def model(self, x: np.ndarray, y: np.ndarray) -> TransitionModel:
         """The transitions with the owed mass spread by ``x`` over S_R and ``y`` over S_B."""
         owed = tuple((d, t) for d, t in ((self.delta_r, x), (self.delta_b, y)) if d.any())
-        return TransitionModel(base=self.base, residuals=owed + self.rest)
+        return self._bare.with_residuals(owed + self.rest)
 
 
 def _split_rows(

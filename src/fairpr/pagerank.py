@@ -54,6 +54,12 @@ class TransitionModel:
         """``base'`` in CSR form, built once instead of on every left product."""
         return self.base.T.tocsr()
 
+    def with_residuals(self, residuals: tuple) -> TransitionModel:
+        """The same base with other rank-one terms, sharing the cached ``base'``."""
+        model = TransitionModel(base=self.base, residuals=residuals)
+        model.__dict__["base_t"] = self.base_t  # where cached_property keeps it
+        return model
+
     def apply_left(self, p: np.ndarray) -> np.ndarray:
         """Row-vector product ``p' M``."""
         out = self.base_t @ p

@@ -52,11 +52,11 @@ def _face_projection(z, support):
 def _support_root(z, a, support):
     """(mu, nu) with ``x = z + mu + nu a`` on ``support`` meeting ``sum x = 1, a' x = 0``.
 
-    This is the root of h restricted to the support, the exact point for a
-    fixed support; None when the 2x2 system is singular (an empty support,
-    or ``a`` constant on it).
+    ``support`` is an array of indices.  This is the root of h restricted to
+    the support, the exact point for a fixed support; None when the 2x2
+    system is singular (an empty support, or ``a`` constant on it).
     """
-    k = int(support.sum())
+    k = support.size
     if k == 0:
         return None
     zs = z[support]
@@ -73,12 +73,13 @@ def _support_root(z, a, support):
 
 
 def _polish(z, a, support, mu, nu):
-    """``max(z + mu + nu a, 0)`` if (mu, nu) certify ``support`` by KKT, else None."""
-    xs = z[support] + mu + nu * a[support]
+    """``max(z + mu + nu a, 0)`` if (mu, nu) certify the index array ``support`` by KKT, else None."""
+    y = z + mu + nu * a
+    xs = y[support]
     if xs.min() < -1e-12:
         return None
-    excluded = ~support
-    if excluded.any() and (z[excluded] + mu + nu * a[excluded]).max() > 1e-10:
+    y[support] = -np.inf  # leaves the excluded coordinates
+    if y.max() > 1e-10:
         return None  # the support was not the optimal one
     x = np.zeros_like(z)
     x[support] = np.maximum(xs, 0.0)
@@ -114,7 +115,7 @@ def project_fair_simplex(z: np.ndarray, a: np.ndarray, c: float) -> np.ndarray:
     # A safety bound: every step narrows the bracket or doubles its open side.
     for _ in range(500):
         x = project_simplex(z + nu * a)
-        support = x > 0.0
+        support = np.flatnonzero(x > 0.0)  # index arrays gather faster than masks
         root = _support_root(z, a, support)
         if root is not None:
             polished = _polish(z, a, support, *root)

@@ -81,8 +81,7 @@ def test_rank_lfpr_o_writes_policy(tmp_path, graph_files):
     rc = main(
         [
             "rank", "--edges", str(edges), "--colors", str(colors),
-            "--algo", "lfpr-o", "--phi", "0.4", "--iters", "5",
-            "--seed", "1", "--out", str(tmp_path),
+            "--algo", "lfpr-o", "--phi", "0.4", "--iters", "5", "--out", str(tmp_path),
         ]
     )
     assert rc == 0
@@ -301,6 +300,40 @@ def test_meaningless_gamma_exits_1_with_a_precise_message(tmp_path, graph_files,
         assert main(argv) == 1
         assert "gamma must lie strictly between 0 and 1" in capsys.readouterr().err
     assert not (tmp_path / "scores.csv").exists()
+
+
+@pytest.mark.parametrize("phi", ["nan", "inf", "0", "1", "1.5", "-0.2"])
+def test_meaningless_phi_exits_1_with_a_precise_message(tmp_path, graph_files, capsys, phi):
+    edges, colors, _ = graph_files
+    graph = ["--edges", str(edges), "--colors", str(colors), f"--phi={phi}"]
+    message = "phi must lie strictly between 0 and 1"
+    for argv in (
+        ["rank", *graph, "--algo", "opr"],
+        ["rank", *graph, "--algo", "fspr"],
+        ["rank", *graph, "--algo", "lfpr-n"],
+        ["audit", *graph, "--algo", "lfpr-u"],
+        ["audit", *graph, "--algo", "opr"],
+    ):
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+    assert main(["sweep", *graph, "--algo", "opr,fspr,lfpr-u", "--out", str(tmp_path / "sweep")]) == 1
+    with open(tmp_path / "sweep" / "sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["algorithm"] for r in rows] == ["opr", "fspr", "lfpr-u"]
+    for r in rows:
+        assert r["status"] == "error" and message in r["message"]
+        assert r["loss"] == r["lower_bound_loss"] == ""
+
+
+def test_rank_has_no_seed_flag(tmp_path, graph_files, capsys):
+    edges, colors, _ = graph_files
+    argv = ["rank", "--edges", str(edges), "--colors", str(colors), "--algo", "lfpr-u", "--phi", "0.3"]
+    assert main([*argv, "--seed", "1", "--out", str(tmp_path)]) == 1
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-8"])

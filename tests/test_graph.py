@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,21 @@ def test_load_graph_rejects_malformed_files(tmp_path, edges, colors):
     (tmp_path / "e.tsv").write_text(edges)
     (tmp_path / "c.tsv").write_text(colors)
     with pytest.raises(GraphError):
+        load_graph(tmp_path / "e.tsv", tmp_path / "c.tsv")
+
+
+@pytest.mark.parametrize(
+    "colors,lineno",
+    [
+        ("0\t1\n-1\t0\n1\t0\n", 2),  # an extra negative id; the rest is dense
+        ("-1\t1\n1\t0\n2\t0\n", 1),  # a negative id in place of 0
+    ],
+)
+def test_load_graph_rejects_negative_node_id_with_its_line(tmp_path, colors, lineno):
+    (tmp_path / "e.tsv").write_text("0\t1\n")
+    (tmp_path / "c.tsv").write_text(colors)
+    expected = f"{tmp_path / 'c.tsv'}:{lineno}: node id must be nonnegative, got -1"
+    with pytest.raises(GraphError, match=re.escape(expected)):
         load_graph(tmp_path / "e.tsv", tmp_path / "c.tsv")
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fairpr import simplex
@@ -46,11 +46,23 @@ def bisection_reference(z, a, c, steps=200):
 
 
 def assert_kkt_certificate(z, a, x, atol):
-    """The certificate of test_fair_projection_kkt_certificate, atol scaled by (mu, nu)."""
+    """The certificate of test_fair_projection_kkt_certificate, atol scaled by (mu, nu).
+
+    Where ``a`` is constant on the support, stationarity there fixes only
+    ``mu + nu a``, not nu; the certificate then takes the nu that keeps the
+    excluded coordinates lowest, found among the breakpoints.
+    """
     (mu, nu), support = fit_multipliers(z, a, x)
+    off = ~support
+    if np.ptp(a[support]) == 0.0 and off.any():
+        a0 = a[support][0]
+        level = mu + nu * a0
+        slope = a[off] - a0
+        breaks = [-(zj + level) / d for zj, d in zip(z[off], slope) if d != 0.0] or [nu]
+        nu = min(breaks, key=lambda t: (z[off] + level + t * slope).max())
+        mu = level - nu * a0
     scale = 1.0 + abs(mu) + abs(nu) * np.abs(a).max()
     np.testing.assert_allclose((x - z)[support], mu + nu * a[support], atol=atol * scale)
-    off = ~support
     if off.any():
         assert (z[off] + mu + nu * a[off]).max() <= atol * scale
 
@@ -73,6 +85,7 @@ def fair_projection_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(fair_projection_cases())
+@example((np.array([2.0, 2.0, 0.0]), np.array([0.0, 1.0, -1.0]), 0.0))  # a constant on the support
 def test_fair_projection_is_feasible_optimal_and_no_farther_than_bisection(case):
     z, a, c = case
     x = project_fair_simplex(z, a, c)
