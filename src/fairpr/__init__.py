@@ -30,13 +30,11 @@ from .fspr import (
     Feasibility,
     FsprProblem,
     FsprSolution,
-    fair_pagerank_from_jump,
     feasibility_check,
     fspr_problem,
     solve_fspr,
     solve_targeted_fspr,
     targeted_fspr_problem,
-    two_point_jump,
 )
 from .graph import ColoredGraph, GroupStats, from_edges, group_stats, load_graph, save_graph
 from .lfpr import (

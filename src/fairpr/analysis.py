@@ -21,13 +21,12 @@ simultaneously iff every row of the transition matrix sends exactly a
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import ColoredGraph
-from .lfpr import _check_phi
-from .pagerank import DEFAULT_GAMMA, TransitionModel, absorption_vector
+from .pagerank import DEFAULT_GAMMA, TransitionModel, _check_phi, absorption_vector
 from .simplex import project_fair_simplex
 
 FAIRNESS_TOL = 1e-7
@@ -185,9 +184,6 @@ class FairnessReport:
     loss: float
     lower_bound_loss: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def make_report(
     scores: np.ndarray,
@@ -210,10 +206,6 @@ def make_report(
         loss=utility_loss(scores, p_o),
         lower_bound_loss=lower_bound,
     )
-
-
-def write_report_json(report: FairnessReport, path, extra: dict | None = None) -> None:
-    write_json(path, {**report.to_dict(), **(extra or {})})
 
 
 def write_json(path, payload: dict) -> None:

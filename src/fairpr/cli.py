@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -119,15 +120,13 @@ def cmd_rank(args) -> int:
     phi = args.phi if args.phi is not None else g.n_red / g.n
     bound = None  # the global bound, unless the run is targeted
     if targets is not None:
-        s_mask, sr_mask = lfpr._check_target_sets(g, *targets)
+        s_mask, sr_mask = graph._check_target_sets(g, *targets)
         bound = analysis.targeted_lower_bound_loss(p_o, s_mask, sr_mask, phi)
         target_mass = float(scores[s_mask].sum())
         protected_mass = float(scores[sr_mask].sum())
         residual = abs(protected_mass - phi * target_mass)
-        extras["target_mass"] = target_mass
-        extras["protected_target_mass"] = protected_mass
-        extras["targeted_residual"] = residual
-        extras["fair"] = bool(residual <= analysis.FAIRNESS_TOL)
+        extras.update(target_mass=target_mass, protected_target_mass=protected_mass,
+                      targeted_residual=residual, fair=bool(residual <= analysis.FAIRNESS_TOL))
     report = analysis.make_report(scores, p_o, g, phi, gamma, lower_bound=bound)
 
     out = Path(args.out)
@@ -145,7 +144,7 @@ def cmd_rank(args) -> int:
             if vec is not None:
                 payload[name] = {str(i): float(v) for i, v in enumerate(vec) if v != 0.0}
         analysis.write_json(out / "policy.json", payload)
-    analysis.write_report_json(report, out / "report.json", extras)
+    analysis.write_json(out / "report.json", {**asdict(report), **extras})
     print(
         f"{args.algo}: red_mass={report.red_mass:.6f} loss={report.loss:.6e} "
         f"lower_bound_loss={report.lower_bound_loss:.6e}"

@@ -115,9 +115,33 @@ def from_edges(n: int, edges, red) -> ColoredGraph:
     return ColoredGraph(indptr=indptr, indices=edge_arr[:, 1].copy(), red=red)
 
 
+def _check_target_sets(g: ColoredGraph, s, s_r) -> tuple[np.ndarray, np.ndarray]:
+    masks = []
+    for ids, name in ((s, "target set"), (s_r, "protected target subset")):
+        ids = np.unique(np.asarray(ids, dtype=np.int64))
+        if ids.size == 0:
+            raise ValueError(f"{name} is empty")
+        if ids.min() < 0 or ids.max() >= g.n:
+            raise ValueError(f"{name} contains out-of-range node ids")
+        masks.append(np.isin(np.arange(g.n), ids))
+    s_mask, sr_mask = masks
+    if not s_mask[sr_mask].all():
+        raise ValueError("protected target subset must lie inside the target set")
+    if not (s_mask & ~sr_mask).any():
+        raise ValueError("target set must contain nodes outside the protected subset")
+    return s_mask, sr_mask
+
+
 def _parse_lines(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    """``(lineno, line)`` of each stripped line that is neither blank nor a comment.
+
+    Bytes that are not UTF-8 read as lone surrogates U+DC80..U+DCFF, which
+    valid UTF-8 never yields, so their line can be named.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii() and any("\udc80" <= ch <= "\udcff" for ch in raw):
+                raise GraphError(f"{path}:{lineno}: not valid UTF-8")
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -176,7 +200,20 @@ def load_graph(edge_path, color_path) -> ColoredGraph:
     red = np.zeros(n, dtype=bool)
     for node, color in colors.items():
         red[node] = bool(color)
-    return from_edges(n, edges, red)
+    try:
+        return from_edges(n, edges, red)
+    except GraphError as exc:
+        # A one-color graph or a repeated edge: name the file, and rescan for
+        # the line only on this path.
+        if red.all() or not red.any():
+            raise GraphError(f"{color_path}: {exc}") from None
+        seen = set()
+        for lineno, line in _parse_lines(edge_path):
+            edge = tuple(int(part) for part in line.split("\t"))
+            if edge in seen:
+                raise GraphError(f"{edge_path}:{lineno}: duplicate edge {edge}") from None
+            seen.add(edge)
+        raise
 
 
 def save_graph(g: ColoredGraph, edge_path, color_path) -> None:

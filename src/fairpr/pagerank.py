@@ -38,8 +38,7 @@ class TransitionModel:
     """Row-stochastic matrix: sparse base plus rank-one residual terms.
 
     The effective matrix is ``base + sum_k outer(delta_k, target_k)``.
-    All entries are nonnegative and every row sums to one; ``validate``
-    checks this within floating-point tolerance.
+    All entries are nonnegative and every row sums to one.
     """
 
     base: sparse.csr_matrix
@@ -74,37 +73,15 @@ class TransitionModel:
             out = out + (target @ q) * delta
         return out
 
-    def row_sums(self) -> np.ndarray:
-        sums = np.asarray(self.base.sum(axis=1)).ravel()
-        for delta, target in self.residuals:
-            sums = sums + delta * target.sum()
-        return sums
-
     def row_masses(self, mask: np.ndarray) -> np.ndarray:
         """Per-row mass sent into the node set ``mask`` (boolean or weights)."""
         return self.apply_right(np.asarray(mask, dtype=float))
-
-    def effective_row(self, i: int) -> np.ndarray:
-        row = np.asarray(self.base.getrow(i).todense()).ravel()
-        for delta, target in self.residuals:
-            row = row + delta[i] * target
-        return row
 
     def to_dense(self) -> np.ndarray:
         dense = self.base.toarray()
         for delta, target in self.residuals:
             dense += np.outer(delta, target)
         return dense
-
-    def validate(self, tol: float = 1e-9) -> None:
-        if self.base.nnz and self.base.data.min() < 0:
-            raise ValueError("negative entry in transition base")
-        for delta, target in self.residuals:
-            if delta.min() < -tol or target.min() < -tol:
-                raise ValueError("negative rank-one residual term")
-        err = np.abs(self.row_sums() - 1.0).max()
-        if err > tol:
-            raise ValueError(f"row sums deviate from 1 by {err:.3e}")
 
 
 def from_dense(mat: np.ndarray) -> TransitionModel:
@@ -159,6 +136,13 @@ def _check_gamma(gamma: float) -> float:
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie strictly between 0 and 1, got {gamma}")
     return gamma
+
+
+def _check_phi(phi: float) -> float:
+    phi = float(phi)
+    if not 0.0 < phi < 1.0:
+        raise ValueError(f"phi must lie strictly between 0 and 1, got {phi}")
+    return phi
 
 
 def solve_left(m, v, gamma, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, start=None):

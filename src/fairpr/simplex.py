@@ -22,13 +22,21 @@ A few steps suffice in practice.  The search runs on ``a - c`` with
 target 0, which changes neither h nor the projection but keeps the 2x2
 solve accurate when the support's values of ``a`` nearly coincide, so
 both equalities hold to machine precision.
+
+``project_polyhedron`` projects onto ``{x >= 0, B x = c}`` for any k x n
+``B``: ``x(lam) = max(z + B' lam, 0)`` at the minimizer of the convex dual
+``||x(lam)||^2 / 2 - c' lam``, whose gradient is ``B x(lam) - c``.  A
+semismooth Newton method on the k multipliers, with the generalized
+Hessian ``B_S B_S'`` on the support S and an exact line search, finds it.
+Every ``x(lam)`` is nonnegative and stationary with the right sign on its
+zeros, so the search stops once ``B x = c`` holds to rounding.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InfeasibleError
+from .errors import ConvergenceError, InfeasibleError
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -136,3 +144,65 @@ def project_fair_simplex(z: np.ndarray, a: np.ndarray, c: float) -> np.ndarray:
             if not lo < nu < hi:
                 break  # bracket exhausted at machine precision
     return x
+
+
+def _line_minimum(y, w, cd):
+    """Least ``t > 0`` minimizing ``||max(y + t w, 0)||^2 / 2 - t cd``.
+
+    The derivative is nondecreasing and piecewise linear, so a Newton step
+    that stays on its piece is exact; one leaving the bracket set by the
+    derivative's signs halves it instead, or doubles ``t`` while it is open.
+    """
+    lo, hi, t = 0.0, np.inf, 1.0
+    for _ in range(200):
+        active = y + t * w > 0.0
+        wa = w[active]
+        g = wa @ (y[active] + t * wa) - cd
+        if g == 0.0:
+            return t
+        lo, hi = (t, hi) if g < 0.0 else (lo, t)
+        curv = wa @ wa
+        t_new = t - g / curv if curv > 0.0 else np.inf
+        if lo < t_new < hi:
+            if np.array_equal(y + t_new * w > 0.0, active):
+                return t_new
+        else:
+            t_new = 2.0 * t if np.isinf(hi) else 0.5 * (lo + hi)
+            if not lo < t_new < hi:
+                return t  # bracket exhausted at machine precision
+        t = t_new
+    return t
+
+
+def project_polyhedron(
+    z: np.ndarray, b: np.ndarray, c: np.ndarray, lam: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Project ``z`` onto ``{x >= 0, B x = c}``; returns ``x`` and the multipliers.
+
+    ``B`` has full row rank; ``lam`` warm-starts the multipliers, by default
+    at the projection onto ``B x = c`` alone.  Raises :class:`ConvergenceError`
+    when the search stalls, as it can where no ``x > 0`` meets ``B x = c``.
+    """
+    z = np.asarray(z, dtype=float)
+    norms = np.linalg.norm(b, axis=1)  # the search runs on unit rows
+    b, c = b / norms[:, None], c / norms
+    lam = np.linalg.solve(b @ b.T, c - b @ z) if lam is None else lam * norms
+    k = b.shape[0]
+    abs_b, abs_z = np.abs(b), np.abs(z)
+    for _ in range(100):
+        y = z + lam @ b
+        x = np.maximum(y, 0.0)
+        r = b @ x - c
+        # x = z + B'lam on the support carries the rounding of every term.
+        size = abs_z + np.abs(lam) @ abs_b
+        if np.all(np.abs(r) <= 1e-14 * (abs_b @ np.where(y > 0.0, size, 0.0) + np.abs(c))):
+            return x, lam / norms
+        # The exact line search stops on breakpoints; counting the coordinates
+        # that sit on one keeps the Hessian from dropping the piece ahead.
+        bs = b[:, y >= -1e-12 * size]
+        h = bs @ bs.T
+        # A tiny ridge keeps the step defined on a rank-deficient support; there it
+        # points along the null space, and the line search finds its length.
+        d = np.linalg.solve(h + 1e-12 * (np.trace(h) + 1.0) / k * np.eye(k), -r)
+        lam = lam + _line_minimum(y, d @ b, c @ d) * d
+    raise ConvergenceError(f"polyhedron projection stalled with |Bx - c| = {np.abs(r).max():.3e}")

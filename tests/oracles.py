@@ -1,0 +1,118 @@
+"""Test-only oracles: row checks of transition models, and dense solvers of the
+optimizers' QPs, exact but quadratic in memory."""
+
+import numpy as np
+
+from fairpr.errors import InfeasibleError
+from fairpr.pagerank import DEFAULT_GAMMA, INNER_TOL, solve_left
+
+
+def row_sums(m) -> np.ndarray:
+    """Row sums of the effective matrix of a ``TransitionModel``."""
+    sums = np.asarray(m.base.sum(axis=1)).ravel()
+    for delta, target in m.residuals:
+        sums = sums + delta * target.sum()
+    return sums
+
+
+def effective_row(m, i: int) -> np.ndarray:
+    """Row ``i`` of the effective matrix, dense."""
+    row = np.asarray(m.base.getrow(i).todense()).ravel()
+    for delta, target in m.residuals:
+        row = row + delta[i] * target
+    return row
+
+
+def validate(m, tol: float = 1e-9) -> None:
+    """Raise ``ValueError`` unless the model is row-stochastic within ``tol``."""
+    if m.base.nnz and m.base.data.min() < 0:
+        raise ValueError("negative entry in transition base")
+    for delta, target in m.residuals:
+        if delta.min() < -tol or target.min() < -tol:
+            raise ValueError("negative rank-one residual term")
+    err = np.abs(row_sums(m) - 1.0).max()
+    if err > tol:
+        raise ValueError(f"row sums deviate from 1 by {err:.3e}")
+
+
+def two_point_jump(values: np.ndarray, target: float) -> np.ndarray:
+    """Feasible jump vector mixing the extreme coordinates of ``values``."""
+    values = np.asarray(values, dtype=float)
+    i = int(np.argmin(values))
+    j = int(np.argmax(values))
+    x = np.zeros(values.shape[0])
+    if i == j or values[j] == values[i]:
+        x[i] = 1.0
+        return x
+    if not values[i] <= target <= values[j]:
+        raise InfeasibleError(f"target {target:.6g} outside [{values[i]:.6g}, {values[j]:.6g}]")
+    pi = (values[j] - target) / (values[j] - values[i])
+    x[i] = pi
+    x[j] += 1.0 - pi
+    return x
+
+
+def fair_pagerank_from_jump(model, x, gamma: float = DEFAULT_GAMMA, tol: float = INNER_TOL) -> np.ndarray:
+    """Scores induced by jump vector ``x``: the product ``x' Q``."""
+    return solve_left(model, np.asarray(x, dtype=float), gamma, tol=tol)
+
+
+def solve_fspr_dense(q_matrix, p_o, a, rhs, shift=None, start=None, max_pivots=None) -> np.ndarray:
+    """Active-set solve of ``min ||(x + shift)' Q - p_o||^2`` over ``{x >= 0, E x = d}``.
+
+    A 1-D ``a`` stands for ``E = [1; a]`` and ``d = (1, rhs)``, started at
+    the two-point jump; a 2-D ``a`` is ``E`` itself, with ``d = rhs`` and a
+    feasible ``start``.  Normal equations on the free coordinates, pivoting
+    on the most violated bound multiplier: exact up to linear-algebra
+    precision.
+    """
+    q_matrix = np.asarray(q_matrix, dtype=float)
+    n = q_matrix.shape[0]
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 1:
+        e, d, x = np.vstack([np.ones(n), a]), np.array([1.0, float(rhs)]), two_point_jump(a, rhs)
+    else:
+        e, d, x = a, np.asarray(rhs, dtype=float), np.asarray(start, dtype=float).copy()
+    target = p_o if shift is None else p_o - shift @ q_matrix
+    h = 2.0 * (q_matrix @ q_matrix.T)
+    c = -2.0 * (q_matrix @ target)
+    k_rows = e.shape[0]
+    free = x > 0
+    if max_pivots is None:
+        max_pivots = 3 * n + 10
+
+    for _ in range(max_pivots):
+        idx = np.nonzero(free)[0]
+        k = idx.size
+        kkt = np.zeros((k + k_rows, k + k_rows))
+        kkt[:k, :k] = h[np.ix_(idx, idx)]
+        kkt[:k, k:] = e[:, idx].T
+        kkt[k:, :k] = e[:, idx]
+        rhs_vec = np.concatenate([-c[idx], d])
+        try:
+            sol = np.linalg.solve(kkt, rhs_vec)
+        except np.linalg.LinAlgError:
+            sol, *_ = np.linalg.lstsq(kkt, rhs_vec, rcond=None)
+        x_free = sol[:k]
+        lam = sol[k:]
+
+        if x_free.min() >= -1e-12:
+            x = np.zeros(n)
+            x[idx] = np.maximum(x_free, 0.0)
+            slack = h @ x + c + e.T @ lam
+            bound = np.nonzero(~free)[0]
+            if bound.size == 0 or slack[bound].min() >= -1e-9:
+                return x
+            free[bound[np.argmin(slack[bound])]] = True
+        else:
+            x_target = np.zeros(n)
+            x_target[idx] = x_free
+            moving = x_target < x - 1e-15
+            with np.errstate(divide="ignore", invalid="ignore"):
+                steps = np.where(moving, x / np.where(moving, x - x_target, 1.0), np.inf)
+            blocker = int(np.argmin(steps))
+            alpha = min(1.0, steps[blocker])
+            x = x + alpha * (x_target - x)
+            x[blocker] = 0.0
+            free[blocker] = False
+    raise RuntimeError("active-set solve did not settle within the pivot budget")

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from fairpr.analysis import (
     utility_loss,
     write_audit_csv,
     write_histogram_csv,
-    write_report_json,
+    write_json,
 )
 from fairpr.graph import from_edges
 from fairpr.fspr import Feasibility, feasibility_check, fspr_problem, solve_fspr, targeted_fspr_problem
@@ -169,7 +170,7 @@ def test_report_round_trip(tmp_path):
     p_o = pagerank(standard_transition(g))
     report = make_report(p_o, p_o, g, phi=red_mass(p_o, g))
     assert report.fair and report.loss == 0.0
-    write_report_json(report, tmp_path / "r.json", extra={"algorithm": "opr"})
+    write_json(tmp_path / "r.json", {**asdict(report), "algorithm": "opr"})
     payload = json.loads((tmp_path / "r.json").read_text())
     assert payload["algorithm"] == "opr"
     assert payload["red_mass"] == report.red_mass

@@ -494,3 +494,30 @@ def test_lfpr_o_runs_above_the_old_dense_limit(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["fair"] is True and report["iterations"] == 5
     assert report["loss"] >= report["lower_bound_loss"]
+
+
+def test_fspr_report_keeps_exactly_its_keys(tmp_path, graph_files):
+    # the solver's work counts stay on its result object, out of report.json
+    edges, colors, _ = graph_files
+    argv = ["rank", "--edges", str(edges), "--colors", str(colors), "--algo", "fspr", "--phi", "0.35"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert sorted(report) == [
+        "achieved_fairness", "algorithm", "converged", "fair", "fairness_residual", "gamma",
+        "iterations", "kkt_residual", "loss", "lower_bound_loss", "phi", "red_mass",
+    ]
+
+
+@pytest.mark.parametrize("n", [400, 5000])
+def test_default_lfpr_o_converges_silently(tmp_path, capsys, n):
+    # the benchmark's generator settings; the default --tol and --iters
+    g = generate(SynthConfig(n=n, red_fraction=0.3, alpha_red=0.8, alpha_blue=0.5,
+                             seed=12345, edges_per_node=2))
+    save_graph(g, tmp_path / "edges.tsv", tmp_path / "colors.tsv")
+    argv = ["rank", "--edges", str(tmp_path / "edges.tsv"), "--colors", str(tmp_path / "colors.tsv"),
+            "--algo", "lfpr-o", "--phi", "0.3", "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["converged"] is True and report["iterations"] < 200
+    assert report["kkt_residual"] <= 1e-8 and report["fair"] is True

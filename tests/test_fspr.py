@@ -5,17 +5,15 @@ from conftest import random_colored_graph
 from fairpr.errors import InfeasibleError
 from fairpr.fspr import (
     Feasibility,
-    fair_pagerank_from_jump,
     feasibility_check,
     fspr_problem,
     solve_fspr,
-    solve_fspr_dense,
     solve_targeted_fspr,
     targeted_fspr_problem,
-    two_point_jump,
 )
 from fairpr.pagerank import dense_q, pagerank, solve_left, solve_right, standard_transition
 from fairpr.simplex import project_fair_simplex
+from oracles import fair_pagerank_from_jump, solve_fspr_dense, two_point_jump
 
 
 def dense_loss(q, p_o, x):
@@ -222,3 +220,24 @@ def test_products_reused_by_linearity_keep_the_solution_exact(targeted):
         np.testing.assert_allclose(sol.scores, sol.x @ q, rtol=0.0, atol=1e-10)
         x_dense = solve_fspr_dense(q, p_o, prob.constraint, prob.rhs)
         assert sol.loss <= dense_loss(q, p_o, x_dense) + 1e-10
+
+
+@pytest.mark.parametrize("targeted", [False, True])
+def test_solution_counts_its_solves(targeted):
+    # one forward solve a line-search trial, one adjoint solve an iteration,
+    # each plus one at the start
+    rng = np.random.default_rng(9)
+    g = random_colored_graph(rng, 40, sink_frac=0.1)
+    m = standard_transition(g)
+    if targeted:
+        s = np.arange(0, g.n, 2)
+        q = dense_q(m)
+        ratios = (q @ np.isin(np.arange(g.n), s[g.red[s]])) / (q @ np.isin(np.arange(g.n), s))
+        prob = targeted_fspr_problem(m, g, s, s[g.red[s]], float(ratios.mean()))
+    else:
+        prob = fspr_problem(m, g, feasible_phi(prob_qr_of(m, g), 0.3))
+    for budget in (3, 5000):
+        sol = solve_fspr(prob, max_iters=budget)
+        assert sol.forward_solves == 1 + sol.iterations + sol.backtracks
+        assert sol.adjoint_solves == 1 + sol.iterations
+    assert sol.converged and sol.backtracks > 0

@@ -106,6 +106,23 @@ def test_load_graph_rejects_negative_node_id_with_its_line(tmp_path, colors, lin
         load_graph(tmp_path / "e.tsv", tmp_path / "c.tsv")
 
 
+@pytest.mark.parametrize(
+    "edges,colors,message",
+    [
+        (b"0\t1\n\xff\n", b"0\t1\n1\t0\n", "e.tsv:2: not valid UTF-8"),
+        (b"0\t1\n", b"# \xfe\n0\t1\n1\t0\n", "c.tsv:1: not valid UTF-8"),
+        (b"1\t0\n0\t1\n1\t1\n1\t0\n0\t1\n", b"0\t1\n1\t0\n", "e.tsv:4: duplicate edge (1, 0)"),
+        (b"0\t1\n", b"0\t1\n1\t1\n", "c.tsv: both color groups must be nonempty"),
+        (b"0\t1\n0\t1\n", b"0\t0\n1\t0\n", "c.tsv: both color groups must be nonempty"),
+    ],
+)
+def test_load_graph_names_the_file_and_line_of_an_invalid_graph(tmp_path, edges, colors, message):
+    (tmp_path / "e.tsv").write_bytes(edges)
+    (tmp_path / "c.tsv").write_bytes(colors)
+    with pytest.raises(GraphError, match=f"^{re.escape(str(tmp_path / message))}$"):
+        load_graph(tmp_path / "e.tsv", tmp_path / "c.tsv")
+
+
 def test_group_stats_color_blind_graph_has_unit_cross_ratios():
     # every node links to all others: target colors follow group shares
     n = 10

@@ -220,3 +220,50 @@ def test_fair_projection_beats_other_feasible_points():
     for _ in range(200):
         y = project_fair_simplex(rng.normal(scale=3.0, size=n), a, c)
         assert np.sum((y - z) ** 2) >= d_star - 1e-9
+
+
+@st.composite
+def polyhedra(draw, fair=False):
+    """``(z, B, c)`` of a set ``{x >= 0, B x = c}`` holding a point with x > 0.
+
+    ``fair`` draws ``B = [1; a]`` with ``c = (1, rhs)``, rhs strictly
+    inside the range of a; otherwise 1 to 3 rows with scales apart by up
+    to 1e4.
+    """
+    n = draw(st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.normal(size=n) * 10.0 ** draw(st.integers(-3, 3))
+    if fair:
+        a = rng.normal(size=n) * 10.0 ** draw(st.integers(-2, 2))
+        rhs = a.min() + draw(st.floats(0.01, 0.99)) * np.ptp(a)
+        return z, np.vstack([np.ones(n), a]), np.array([1.0, rhs])
+    k = draw(st.integers(1, min(3, n - 2)))
+    b = rng.normal(size=(k, n)) * 10.0 ** rng.uniform(-2, 2, size=(k, 1))
+    return z, b, b @ rng.uniform(0.01, 1.0, size=n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of(polyhedra(), polyhedra(fair=True)))
+def test_polyhedron_projection_kkt_certificate(case):
+    z, b, c = case
+    x, lam = simplex.project_polyhedron(z, b, c)
+    y = z + lam @ b
+    scale = 1.0 + np.abs(z) + np.abs(lam) @ np.abs(b)  # the rounding scale of y
+    support = x > 0
+    assert x.min() >= 0.0
+    # B x = c, to 1e-12 of the size of the terms it sums
+    assert np.all(np.abs(b @ x - c) <= 1e-12 * (np.abs(b) @ (scale * support) + np.abs(c)))
+    # stationarity: x - z = B'lam + mu with mu >= 0 zero on the support
+    assert np.all(np.abs(x - y)[support] <= 1e-12 * scale[support])
+    assert np.all(y[~support] <= 1e-12 * scale[~support])
+    # warm-started at its own multipliers, the search stays put
+    assert np.all(np.abs(simplex.project_polyhedron(z, b, c, lam)[0] - x) <= 1e-12 * scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=polyhedra(fair=True))
+def test_polyhedron_projection_matches_the_fair_simplex_projection(case):
+    z, b, c = case
+    x, _ = simplex.project_polyhedron(z, b, c)
+    expected = project_fair_simplex(z, b[1], c[1])
+    assert np.abs(x - expected).max() <= 1e-12 * (1.0 + np.abs(z).max())

@@ -95,6 +95,9 @@ def _colored_ids(text: str) -> list[int]:
 @given(files=tsv_files())
 @example(files=(b"0\t1\n", b"0\t1\n-1\t0\n1\t0\n"))  # an extra negative id
 @example(files=(b"1\t2\n", b"-1\t0\n1\t1\n2\t0\n"))  # a negative id in place of 0
+@example(files=(b"0\t1\n\xff\xfe1\t0\n", b"0\t1\n1\t0\n"))  # not UTF-8
+@example(files=(b"0\t1\n1\t0\n0\t1\n", b"0\t1\n1\t0\n"))  # a duplicate edge
+@example(files=(b"0\t1\n", b"0\t1\n1\t1\n"))  # one color only
 def test_rank_accepts_or_rejects_fuzzed_tsv_files_cleanly(files):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -113,6 +116,7 @@ def test_rank_accepts_or_rejects_fuzzed_tsv_files_cleanly(files):
         assert rc in (0, 1)
         if rc == 1:
             assert len(err) == 1 and err[0].startswith("error: ")
+            assert f"{tmp / 'edges.tsv'}:" in err[0] or f"{tmp / 'colors.tsv'}:" in err[0]
             assert not (out / "scores.csv").exists()
         else:
             # the color lines name the nodes 0..n-1 once each
