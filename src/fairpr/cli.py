@@ -279,14 +279,32 @@ def _tolerance(text: str) -> float:
     return tol
 
 
-def _budget(text: str) -> int:
-    if not (text.isdecimal() and int(text) >= 1):
-        raise argparse.ArgumentTypeError(f"iters must be a positive integer, got {text}")
-    return int(text)
+def _count(name: str):
+    """Parser of a positive integer option, named ``name`` in its message."""
+
+    def parse(text: str) -> int:
+        if not (text.isdecimal() and int(text) >= 1):
+            raise argparse.ArgumentTypeError(f"{name} must be a positive integer, got {text}")
+        return int(text)
+
+    return parse
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
+    values = [float(tok) for tok in text.split(",") if tok]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list of numbers, got {text!r}")
+    return values
+
+
+def _algo_list(text: str) -> list[str]:
+    algos = text.split(",")
+    for algo in algos:
+        if algo not in ALGOS:
+            raise argparse.ArgumentTypeError(
+                f"unknown algorithm {algo!r} (choose from {', '.join(ALGOS)})"
+            )
+    return algos
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--tol", type=_tolerance, default=1e-8, help="solver tolerance")
-        p.add_argument("--iters", type=_budget, default=None,
+        p.add_argument("--iters", type=_count("iters"), default=None,
                        help="iteration budget (fspr 5000, lfpr-o 200)")
 
     p_rank = sub.add_parser("rank", help="compute one fair ranking")
@@ -317,14 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sweep, graph="optional")
     p_sweep.add_argument("--phi", dest="phis", type=_float_list, required=True,
                          help="comma-separated phi values")
-    p_sweep.add_argument("--algo", dest="algos", type=lambda t: t.split(","),
+    p_sweep.add_argument("--algo", dest="algos", type=_algo_list,
                          default=["fspr", "lfpr-n", "lfpr-u", "lfpr-p"],
                          help="comma-separated algorithms")
     p_sweep.add_argument("--grid-n", type=int, default=None)
     p_sweep.add_argument("--grid-r", type=_float_list, default=[0.3])
     p_sweep.add_argument("--grid-alpha-red", type=_float_list, default=[0.5])
     p_sweep.add_argument("--grid-alpha-blue", type=_float_list, default=[0.5])
-    p_sweep.add_argument("--grid-seeds", type=int, default=1)
+    p_sweep.add_argument("--grid-seeds", type=_count("grid-seeds"), default=1)
     p_sweep.add_argument("--seed", type=int, default=0, help="seed of the synthetic grid")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -332,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_audit)
     p_audit.add_argument("--algo", choices=[a for a in ALGOS if a != "fspr"], default="opr")
     p_audit.add_argument("--phi", type=float, default=None)
-    p_audit.add_argument("--sample", type=int, default=None, help="audit sample size")
+    p_audit.add_argument("--sample", type=_count("sample"), default=None, help="audit sample size")
     p_audit.add_argument("--seed", type=int, default=0, help="seed of the audit sample")
     p_audit.set_defaults(func=cmd_audit)
 

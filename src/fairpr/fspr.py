@@ -29,10 +29,9 @@ in u, so at the momentum point ``y = u_k + beta (u_k - u_{k-1})`` they are
 extrapolated from the two iterates with the same beta instead of solved.
 An iteration thus costs one forward solve per line-search trial plus one
 adjoint solve, and the best point is always one whose products were
-solved.  Projections onto ``B = [1; a]`` go through
-:func:`fairpr.simplex.project_fair_simplex`, onto other ``B`` through
-:func:`fairpr.simplex.project_polyhedron`, warm-started at the last
-multipliers.
+solved.  Every projection is one :func:`fairpr.simplex.project_polyhedron`
+call, warm-started at the last multipliers; a jump vector's ``B = [1; a]``
+is built once, in the shifted form of :func:`fairpr.simplex.fair_rows`.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from .pagerank import (
     solve_left,
     solve_right,
 )
-from .simplex import project_fair_simplex, project_polyhedron
+from .simplex import fair_rows, project_polyhedron
 
 
 class Feasibility(Enum):
@@ -155,22 +154,22 @@ def _projection(problem: FsprProblem):
 
     Each keeps its own warm start: the loop's steps and KKT tests lie apart.
     """
-    a, rhs = problem.constraint, problem.rhs
-    if a.ndim == 2:
-        lam = None  # the warm start: the last call's multipliers
+    b, rhs = problem.constraint, problem.rhs
+    if b.ndim == 1:
+        if feasibility_check(b, rhs) is not Feasibility.FEASIBLE:
+            raise InfeasibleError(
+                f"no jump vector attains the target: need {rhs:.6g} "
+                f"within [{float(b.min()):.6g}, {float(b.max()):.6g}]"
+            )
+        b, rhs = fair_rows(b, rhs)
+    lam = None  # the warm start: the last call's multipliers
 
-        def project(z):
-            nonlocal lam
-            x, lam = project_polyhedron(z, a, rhs, lam)
-            return x
+    def project(z):
+        nonlocal lam
+        x, lam = project_polyhedron(z, b, rhs, lam)
+        return x
 
-        return project
-    if feasibility_check(a, rhs) is not Feasibility.FEASIBLE:
-        raise InfeasibleError(
-            f"no jump vector attains the target: need {rhs:.6g} "
-            f"within [{float(a.min()):.6g}, {float(a.max()):.6g}]"
-        )
-    return lambda z: project_fair_simplex(z, a, rhs)
+    return project
 
 
 def solve_fspr(

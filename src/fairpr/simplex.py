@@ -3,26 +3,6 @@ r"""Euclidean projections onto the probability simplex and slices of it.
 ``project_simplex`` is the classic sort-based O(n log n) thresholding
 (Held, Wolfe & Crowder 1974; see also Wang & Carreira-Perpinan 2013).
 
-``project_fair_simplex`` projects onto the simplex intersected with one
-extra linear equality ``a' x = c``.  By KKT the solution has the form
-``x = max(z + mu + nu a, 0)`` for scalars (mu, nu); for fixed nu the inner
-problem is a plain simplex projection, and the map
-
-    h(nu) = a' P_simplex(z + nu a) - c
-
-is monotone nondecreasing and piecewise linear in nu: on a fixed support
-it is linear, and its root there is the (mu, nu) of a 2x2 system.  The
-search is therefore a Newton method on the support (Kiwiel 2008; Condat
-2016): each step projects once at nu, solves the 2x2 system on the
-support it finds, and stops when that support passes the KKT check.
-Otherwise the root becomes the next nu, safeguarded to the open bracket
-that the signs of h have established; a root outside it falls back to
-halving the bracket, or to growing it while one side is still open.
-A few steps suffice in practice.  The search runs on ``a - c`` with
-target 0, which changes neither h nor the projection but keeps the 2x2
-solve accurate when the support's values of ``a`` nearly coincide, so
-both equalities hold to machine precision.
-
 ``project_polyhedron`` projects onto ``{x >= 0, B x = c}`` for any k x n
 ``B``: ``x(lam) = max(z + B' lam, 0)`` at the minimizer of the convex dual
 ``||x(lam)||^2 / 2 - c' lam``, whose gradient is ``B x(lam) - c``.  A
@@ -30,6 +10,12 @@ semismooth Newton method on the k multipliers, with the generalized
 Hessian ``B_S B_S'`` on the support S and an exact line search, finds it.
 Every ``x(lam)`` is nonnegative and stationary with the right sign on its
 zeros, so the search stops once ``B x = c`` holds to rounding.
+
+``project_fair_simplex`` is the case ``B = [1; a]``: the simplex cut by
+one more equality ``a' x = c``.  It runs on the rows ``[1; a - c]`` with
+right-hand side ``(1, 0)``, the same set, so that where the support's
+values of ``a`` nearly coincide the two multipliers need not grow large
+and cancel, and both equalities hold to machine precision.
 """
 
 from __future__ import annotations
@@ -50,48 +36,9 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _face_projection(z, support):
-    """Projection of z onto the simplex restricted to ``support`` coords."""
-    x = np.zeros_like(z)
-    x[support] = project_simplex(z[support])
-    return x
-
-
-def _support_root(z, a, support):
-    """(mu, nu) with ``x = z + mu + nu a`` on ``support`` meeting ``sum x = 1, a' x = 0``.
-
-    ``support`` is an array of indices.  This is the root of h restricted to
-    the support, the exact point for a fixed support; None when the 2x2
-    system is singular (an empty support, or ``a`` constant on it).
-    """
-    k = support.size
-    if k == 0:
-        return None
-    zs = z[support]
-    as_ = a[support]
-    s1 = as_.sum()
-    s2 = as_ @ as_
-    det = k * s2 - s1 * s1
-    scale = max(s2, 1.0)
-    if det <= 1e-14 * k * scale:
-        return None
-    r1 = 1.0 - zs.sum()
-    r2 = -(as_ @ zs)
-    return (s2 * r1 - s1 * r2) / det, (k * r2 - s1 * r1) / det
-
-
-def _polish(z, a, support, mu, nu):
-    """``max(z + mu + nu a, 0)`` if (mu, nu) certify the index array ``support`` by KKT, else None."""
-    y = z + mu + nu * a
-    xs = y[support]
-    if xs.min() < -1e-12:
-        return None
-    y[support] = -np.inf  # leaves the excluded coordinates
-    if y.max() > 1e-10:
-        return None  # the support was not the optimal one
-    x = np.zeros_like(z)
-    x[support] = np.maximum(xs, 0.0)
-    return x
+def fair_rows(a: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(B, rhs)`` of ``{sum x = 1, a' x = c}``, written as ``sum x = 1, (a - c)' x = 0``."""
+    return np.vstack([np.ones_like(a), a - c]), np.array([1.0, 0.0])
 
 
 def project_fair_simplex(z: np.ndarray, a: np.ndarray, c: float) -> np.ndarray:
@@ -112,38 +59,7 @@ def project_fair_simplex(z: np.ndarray, a: np.ndarray, c: float) -> np.ndarray:
     if spread <= slack:
         # Constraint is constant over the simplex: vacuous when it holds.
         return project_simplex(z)
-    if c >= amax:
-        return _face_projection(z, a >= amax - 0.5 * spread * 1e-9)
-    if c <= amin:
-        return _face_projection(z, a <= amin + 0.5 * spread * 1e-9)
-
-    a = a - c  # target 0 from here on (see the module docstring)
-    lo, hi = -np.inf, np.inf  # h(lo) < 0 <= h(hi)
-    nu = 0.0
-    # A safety bound: every step narrows the bracket or doubles its open side.
-    for _ in range(500):
-        x = project_simplex(z + nu * a)
-        support = np.flatnonzero(x > 0.0)  # index arrays gather faster than masks
-        root = _support_root(z, a, support)
-        if root is not None:
-            polished = _polish(z, a, support, *root)
-            if polished is not None:
-                return polished
-        if a @ x < 0.0:
-            lo = nu
-        else:
-            hi = nu
-        if root is not None and lo < root[1] < hi:
-            nu = root[1]
-        elif np.isinf(hi):
-            nu = lo + max(1.0, abs(lo))
-        elif np.isinf(lo):
-            nu = hi - max(1.0, abs(hi))
-        else:
-            nu = 0.5 * (lo + hi)
-            if not lo < nu < hi:
-                break  # bracket exhausted at machine precision
-    return x
+    return project_polyhedron(z, *fair_rows(a, min(max(c, amin), amax)))[0]
 
 
 def _line_minimum(y, w, cd):
@@ -181,7 +97,8 @@ def project_polyhedron(
 
     ``B`` has full row rank; ``lam`` warm-starts the multipliers, by default
     at the projection onto ``B x = c`` alone.  Raises :class:`ConvergenceError`
-    when the search stalls, as it can where no ``x > 0`` meets ``B x = c``.
+    when the search stalls short of ``B x = c``, as it can where no ``x > 0``
+    meets ``B x = c``.
     """
     z = np.asarray(z, dtype=float)
     norms = np.linalg.norm(b, axis=1)  # the search runs on unit rows
@@ -189,7 +106,7 @@ def project_polyhedron(
     lam = np.linalg.solve(b @ b.T, c - b @ z) if lam is None else lam * norms
     k = b.shape[0]
     abs_b, abs_z = np.abs(b), np.abs(z)
-    for _ in range(100):
+    for step in range(100):
         y = z + lam @ b
         x = np.maximum(y, 0.0)
         r = b @ x - c
@@ -202,7 +119,19 @@ def project_polyhedron(
         bs = b[:, y >= -1e-12 * size]
         h = bs @ bs.T
         # A tiny ridge keeps the step defined on a rank-deficient support; there it
-        # points along the null space, and the line search finds its length.
-        d = np.linalg.solve(h + 1e-12 * (np.trace(h) + 1.0) / k * np.eye(k), -r)
-        lam = lam + _line_minimum(y, d @ b, c @ d) * d
+        # points along the null space, and the line search finds its length.  A row
+        # that barely meets the support gets less, down to 1e-6 of its own
+        # curvature, or the ridge would swamp it and the step crawl.
+        curv = np.diag(h)
+        ridge = 1e-12 * (curv.sum() + 1.0) / k
+        d = np.linalg.solve(h + np.diag(np.clip(1e-6 * curv, 1e-12 * ridge, ridge)), -r)
+        lam_next = lam + _line_minimum(y, d @ b, c @ d) * d
+        if step == 99 or (lam_next == lam).all():
+            break  # out of steps, or none the line search finds moves lam
+        lam = lam_next
+    # Stalled.  Beside a much larger support coordinate, the small ones are
+    # known only to its rounding, so B x = c is judged at that scale.
+    top = np.max(size, where=y > 0.0, initial=0.0)
+    if np.all(np.abs(r) <= 1e-13 * (abs_b.sum(axis=1) * top + np.abs(c))):
+        return x, lam / norms
     raise ConvergenceError(f"polyhedron projection stalled with |Bx - c| = {np.abs(r).max():.3e}")

@@ -521,3 +521,32 @@ def test_default_lfpr_o_converges_silently(tmp_path, capsys, n):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["converged"] is True and report["iterations"] < 200
     assert report["kkt_residual"] <= 1e-8 and report["fair"] is True
+
+
+def test_unknown_sweep_algorithm_exits_1_before_any_graph_is_loaded(tmp_path, capsys):
+    missing = ["--edges", str(tmp_path / "no-edges.tsv"), "--colors", str(tmp_path / "no-colors.tsv")]
+    argv = ["sweep", *missing, "--phi", "0.3", "--algo", "fspr,lfpr-x", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "argument --algo: unknown algorithm 'lfpr-x'" in err
+    assert "no-edges.tsv" not in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, option, value, message",
+    [
+        ("audit", "--sample", "0", "sample must be a positive integer, got 0"),
+        ("audit", "--sample", "-3", "sample must be a positive integer, got -3"),
+        ("sweep", "--grid-seeds", "0", "grid-seeds must be a positive integer, got 0"),
+        ("sweep", "--phi", ",", "expected a comma-separated list of numbers, got ','"),
+    ],
+)
+def test_meaningless_counts_and_empty_lists_exit_1(tmp_path, graph_files, capsys, command, option, value, message):
+    edges, colors, _ = graph_files
+    argv = [command, "--edges", str(edges), "--colors", str(colors), "--out", str(tmp_path / "out")]
+    if command == "sweep" and option != "--phi":
+        argv += ["--phi", "0.3"]
+    assert main([*argv, f"{option}={value}"]) == 1
+    assert f"argument {option}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

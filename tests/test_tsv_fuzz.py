@@ -49,7 +49,7 @@ def tsv_files(draw):
         if kind == "negative_id":
             neg = str(-draw(st.integers(1, 3)))
             if rows and draw(st.booleans()):
-                rows[pick][draw(st.integers(0, 1)) if name == "edges" else 0] = neg
+                rows[pick][draw(st.integers(0, min(1, len(rows[pick]) - 1))) if name == "edges" else 0] = neg
             else:
                 rows.insert(at, [neg, draw(st.sampled_from(("0", "1")))])
         elif kind == "gap":
