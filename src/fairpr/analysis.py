@@ -217,9 +217,11 @@ def write_json(path, payload: dict) -> None:
 
 def write_audit_csv(audit: PersonalizedAudit, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("node,color,adjusted_red_mass,fair\n")
-        for node, is_red, val, ok in zip(audit.nodes, audit.red, audit.adjusted, audit.fair):
-            fh.write(f"{node},{int(is_red)},{val:.17g},{int(ok)}\n")
+        rows = map(
+            "{},{:d},{:.17g},{:d}\n".format,
+            audit.nodes.tolist(), audit.red.tolist(), audit.adjusted.tolist(), audit.fair.tolist(),
+        )
+        fh.write("node,color,adjusted_red_mass,fair\n" + "".join(rows))
 
 
 def write_histogram_csv(audit: PersonalizedAudit, path) -> None:

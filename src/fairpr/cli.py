@@ -29,6 +29,9 @@ ALGOS = ("opr", "fspr", "lfpr-n", "lfpr-u", "lfpr-p", "lfpr-o")
 
 
 def _load_node_list(path) -> np.ndarray:
+    rows = graph._int_rows(path, 1)
+    if rows is not None:
+        return rows[:, 0]
     nodes = []
     for lineno, line in graph._parse_lines(path):
         try:
@@ -134,10 +137,9 @@ def cmd_rank(args) -> int:
     write_scores_csv(out / "scores.csv", scores)
     jump = extras.pop("jump_vector", None)
     if jump is not None:
+        rows = map("{},{:.17g},{:.17g}\n".format, range(g.n), jump.tolist(), scores.tolist())
         with open(out / "solution.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write("node,jump_prob,score\n")
-            for i in range(g.n):
-                fh.write(f"{i},{jump[i]:.17g},{scores[i]:.17g}\n")
+            fh.write("node,jump_prob,score\n" + "".join(rows))
     if policy is not None:
         payload: dict = {"kind": policy.kind.value}
         for name, vec in (("x", policy.x), ("y", policy.y)):

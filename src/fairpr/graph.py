@@ -3,11 +3,18 @@
 Nodes carry a binary color (red = protected group, blue = the rest) and are
 identified by dense integer ids ``0..n-1``.  Adjacency is stored CSR-style so
 transition matrices can be assembled without re-scanning edge lists.
+
+TSV input is read in one strict numpy pass (:func:`_int_rows`), which accepts
+only digits, tabs and ``\\n`` in the exact layout that :func:`save_graph`
+writes.  Any other file, and any file that fails a check, goes to the
+line-by-line parser, which alone words every :class:`GraphError` with the
+file's ``path:line``.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -97,13 +104,17 @@ def from_edges(n: int, edges, red) -> ColoredGraph:
     if n_red == 0 or n_red == n:
         raise GraphError("both color groups must be nonempty")
 
-    edge_arr = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+    edge_arr = np.asarray(
+        edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64
+    ).reshape(-1, 2)
     if edge_arr.size and (edge_arr.min() < 0 or edge_arr.max() >= n):
         raise GraphError("edge endpoint out of range")
 
-    order = np.lexsort((edge_arr[:, 1], edge_arr[:, 0]))
-    edge_arr = edge_arr[order]
-    if edge_arr.shape[0] > 1:
+    # Edges already sorted by (src, dst) without repeats, as save_graph writes
+    # them, need neither the sort nor the duplicate scan.
+    src_step = np.diff(edge_arr[:, 0])
+    if not np.all((src_step > 0) | ((src_step == 0) & (np.diff(edge_arr[:, 1]) > 0))):
+        edge_arr = edge_arr[np.lexsort((edge_arr[:, 1], edge_arr[:, 0]))]
         dup = np.all(edge_arr[1:] == edge_arr[:-1], axis=1)
         if dup.any():
             i, j = edge_arr[1:][dup][0]
@@ -148,6 +159,55 @@ def _parse_lines(path):
             yield lineno, line
 
 
+_STRICT_BYTES = b"0123456789\t\n"
+_MAX_DIGITS = 18  # every such field fits in int64
+
+
+def _int_rows(path, columns: int) -> np.ndarray | None:
+    """The file as an (m, columns) int64 array, or ``None`` to hand it to the line parser.
+
+    Accepts only lines of exactly ``columns`` tab-separated fields of 1 to 18
+    digits, each line ending in ``\\n``.  On such input ``int()`` and numpy
+    read every field alike.  Anything else declines: an empty file, ``\\r``,
+    spaces, signs, comments, blank lines, a missing final newline and bytes
+    that are not ASCII.
+    """
+    data = Path(path).read_bytes()
+    if not data.endswith(b"\n") or data.translate(None, _STRICT_BYTES):
+        return None
+    raw = np.frombuffer(data, dtype=np.uint8)
+    seps = np.flatnonzero(raw <= ord("\n"))  # the tabs and newlines, in order
+    if seps.size % columns:
+        return None
+    is_newline = (raw[seps] == ord("\n")).reshape(-1, columns)
+    if not (is_newline == (np.arange(columns) == columns - 1)).all():
+        return None
+    widths = np.diff(seps, prepend=-1) - 1
+    if widths.min() < 1 or widths.max() > _MAX_DIGITS:
+        return None
+    return np.loadtxt(io.BytesIO(data), dtype=np.int64, delimiter="\t", ndmin=2).reshape(-1, columns)
+
+
+def _load_strict(edge_path, color_path) -> ColoredGraph | None:
+    """The graph when both files pass :func:`_int_rows` and every check, else ``None``."""
+    colors = _int_rows(color_path, 2)
+    if colors is None:
+        return None
+    node, color = colors[:, 0], colors[:, 1]
+    n = node.size
+    if color.max() > 1 or node.max() != n - 1 or np.bincount(node).min() != 1:
+        return None
+    edges = _int_rows(edge_path, 2)
+    if edges is None or edges.max() >= n:
+        return None
+    red = np.zeros(n, dtype=bool)
+    red[node] = color == 1
+    try:
+        return from_edges(n, edges, red)
+    except GraphError:  # a repeated edge or one color: the line parser names it
+        return None
+
+
 def load_graph(edge_path, color_path) -> ColoredGraph:
     """Load a graph from TSV edge and color files.
 
@@ -156,7 +216,20 @@ def load_graph(edge_path, color_path) -> ColoredGraph:
     node referenced by an edge must be colored; nodes that appear only in
     the color file become isolated sinks.  Node ids must form the dense
     range ``0..n-1``.
+
+    Files in :func:`save_graph`'s layout (digits, one tab, ``\\n`` on every
+    line; no comments, blank lines, spaces or signs) are parsed in one numpy
+    pass.  Every other file, and every file whose graph is invalid (a color
+    other than 0/1, ids not ``0..n-1`` once each, an uncolored endpoint, a
+    repeated edge, one color), is read again line by line, and that parser
+    raises the :class:`GraphError` naming ``path:line``.
     """
+    g = _load_strict(edge_path, color_path)
+    return g if g is not None else _load_lines(edge_path, color_path)
+
+
+def _load_lines(edge_path, color_path) -> ColoredGraph:
+    """:func:`load_graph`'s line-by-line parser, which words every error."""
     colors: dict[int, int] = {}
     for lineno, line in _parse_lines(color_path):
         parts = line.split("\t")
@@ -217,13 +290,16 @@ def load_graph(edge_path, color_path) -> ColoredGraph:
 
 
 def save_graph(g: ColoredGraph, edge_path, color_path) -> None:
-    """Write a graph back to TSV files; inverse of :func:`load_graph`."""
+    """Write a graph back to TSV files; inverse of :func:`load_graph`.
+
+    Edges go out sorted by ``(src, dst)``, the order :func:`from_edges` keeps
+    without sorting again.
+    """
+    src, dst = g.edges().T.tolist()
     with open(edge_path, "w", encoding="utf-8") as fh:
-        for src, dst in g.edges():
-            fh.write(f"{src}\t{dst}\n")
+        fh.write("".join(map("{}\t{}\n".format, src, dst)))
     with open(color_path, "w", encoding="utf-8") as fh:
-        for node in range(g.n):
-            fh.write(f"{node}\t{int(g.red[node])}\n")
+        fh.write("".join(map("{}\t{}\n".format, range(g.n), g.red.view(np.uint8).tolist())))
 
 
 @dataclass(frozen=True)

@@ -233,6 +233,4 @@ def dense_q(m: TransitionModel, gamma: float = DEFAULT_GAMMA, cap: int = DENSE_C
 def write_scores_csv(path, scores: np.ndarray) -> None:
     """Write ``node,score`` rows at full float precision."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("node,score\n")
-        for i, s in enumerate(scores):
-            fh.write(f"{i},{s:.17g}\n")
+        fh.write("node,score\n" + "".join(map("{},{:.17g}\n".format, range(len(scores)), scores.tolist())))

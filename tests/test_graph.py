@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_colored_graph
+from fairpr import cli, graph
 from fairpr.errors import GraphError
 from fairpr.graph import (
     from_edges,
@@ -63,6 +64,32 @@ def test_tsv_round_trip(tmp_path):
     assert np.array_equal(g.indptr, h.indptr)
     assert np.array_equal(g.indices, h.indices)
     assert np.array_equal(g.red, h.red)
+
+
+def test_saved_graph_and_target_set_load_without_the_line_parser(tmp_path, monkeypatch):
+    def line_parser(*args):
+        raise AssertionError("the line parser ran")
+
+    monkeypatch.setattr(graph, "_load_lines", line_parser)
+    monkeypatch.setattr(graph, "_parse_lines", line_parser)
+    g = random_colored_graph(np.random.default_rng(5), 1500, sink_frac=0.1)
+    save_graph(g, tmp_path / "e.tsv", tmp_path / "c.tsv")
+    h = load_graph(tmp_path / "e.tsv", tmp_path / "c.tsv")
+    assert np.array_equal(g.indptr, h.indptr)
+    assert np.array_equal(g.indices, h.indices)
+    assert np.array_equal(g.red, h.red)
+    (tmp_path / "s.txt").write_text("".join(f"{i}\n" for i in range(0, g.n, 7)))
+    assert cli._load_node_list(tmp_path / "s.txt").tolist() == list(range(0, g.n, 7))
+
+
+def test_from_edges_sorts_only_out_of_order_input():
+    red = [True, False, False]
+    in_order = from_edges(3, np.array([[0, 1], [0, 2], [2, 0]]), red)
+    shuffled = from_edges(3, [(2, 0), (0, 2), (0, 1)], red)
+    assert np.array_equal(in_order.indptr, shuffled.indptr)
+    assert np.array_equal(in_order.indices, shuffled.indices)
+    with pytest.raises(GraphError, match=r"^duplicate edge \(0, 2\)$"):
+        from_edges(3, np.array([[0, 2], [0, 1], [0, 2]]), red)
 
 
 def test_load_graph_skips_comments_and_blank_lines(tmp_path):

@@ -1,14 +1,22 @@
-"""Fuzzed edge and color files: ``fairpr rank`` accepts them or exits 1, never a traceback."""
+"""Fuzzed edge and color files: ``fairpr rank`` accepts them or exits 1, never a traceback.
+
+The strict numpy reader either declines a file or reads the same graph as the
+line parser, and ``load_graph`` ends exactly as the line parser does.
+"""
 
 import contextlib
 import io
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fairpr import graph
 from fairpr.cli import main
+from fairpr.errors import GraphError
 
 MUTATIONS = (
     "negative_id",
@@ -122,3 +130,70 @@ def test_rank_accepts_or_rejects_fuzzed_tsv_files_cleanly(files):
             # the color lines name the nodes 0..n-1 once each
             rows = (out / "scores.csv").read_text().splitlines()
             assert _colored_ids(files[1].decode()) == list(range(len(rows) - 1))
+
+
+# Files the strict reader must hand to the line parser, valid or not.
+MUST_FALL_BACK = (
+    (b"0\t1\r\n1\t0\r\n", b"0\t1\r\n1\t0\r\n"),  # CRLF lines
+    (b"0\t1\n1\t0", b"0\t1\n1\t0\n"),  # no final newline
+    (b"0\t+1\n", b"0\t1\n1\t0\n"),  # a sign
+    (b"0\t 1\n", b"0\t1\n1\t0\n"),  # a leading space
+    (b"0\t1 \n", b"0\t1\n1\t0\n"),  # a trailing space
+    (b"0\t" + b"0" * 18 + b"1\n", b"0\t1\n1\t0\n"),  # a 19-digit id
+    (b"0\t1\n\t\n1\t0\n", b"0\t1\n1\t0\n"),  # a lone tab line
+    (b"", b"0\t1\n1\t0\n"),  # an empty edge file
+)
+
+
+def _outcome(load, edge_path, color_path):
+    """The graph's arrays, or the text of the error."""
+    try:
+        g = load(edge_path, color_path)
+    except GraphError as exc:
+        return str(exc)
+    return g.indptr.tolist(), g.indices.tolist(), g.red.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(files=tsv_files())
+@example(files=MUST_FALL_BACK[0])
+@example(files=MUST_FALL_BACK[1])
+@example(files=MUST_FALL_BACK[2])
+@example(files=MUST_FALL_BACK[3])
+@example(files=MUST_FALL_BACK[4])
+@example(files=MUST_FALL_BACK[5])
+@example(files=MUST_FALL_BACK[6])
+@example(files=MUST_FALL_BACK[7])
+@example(files=(b"0\t2\n", b"0\t1\n2\t0\n0\t1\n"))  # ids reach n - 1 on n lines, but 0 repeats and 1 is missing
+def test_strict_reader_declines_or_matches_the_line_parser(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        edges, colors = Path(tmp) / "edges.tsv", Path(tmp) / "colors.tsv"
+        edges.write_bytes(files[0])
+        colors.write_bytes(files[1])
+        expected = _outcome(graph._load_lines, edges, colors)
+        strict = graph._load_strict(edges, colors)
+        if strict is not None:
+            assert (strict.indptr.tolist(), strict.indices.tolist(), strict.red.tolist()) == expected
+        assert _outcome(graph.load_graph, edges, colors) == expected
+
+
+@pytest.mark.parametrize("files", MUST_FALL_BACK)
+def test_strict_reader_declines_what_it_does_not_accept(tmp_path, files):
+    (tmp_path / "edges.tsv").write_bytes(files[0])
+    (tmp_path / "colors.tsv").write_bytes(files[1])
+    assert graph._load_strict(tmp_path / "edges.tsv", tmp_path / "colors.tsv") is None
+    assert graph._int_rows(tmp_path / "edges.tsv", 2) is None
+
+
+@pytest.mark.parametrize(
+    "data,columns,rows",
+    [
+        (b"0\t1\n22\t333\n", 2, [[0, 1], [22, 333]]),
+        (b"7\n0012\n", 1, [[7], [12]]),
+        (b"9" * 18 + b"\n", 1, [[10**18 - 1]]),
+    ],
+)
+def test_strict_reader_parses_fields_as_int_does(tmp_path, data, columns, rows):
+    (tmp_path / "f.tsv").write_bytes(data)
+    parsed = graph._int_rows(tmp_path / "f.tsv", columns)
+    assert parsed.dtype == np.int64 and parsed.tolist() == rows
