@@ -33,10 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DegenerateTargetError
 from .fspr import FsprProblem, solve_fspr
@@ -45,6 +43,7 @@ from .pagerank import (
     DEFAULT_GAMMA,
     DEFAULT_TOL,
     INNER_TOL,
+    SparseRows,
     TransitionModel,
     _check_phi,
     pagerank,
@@ -76,7 +75,7 @@ class ResidualDecomposition:
     """
 
     phi: float
-    base: sparse.csr_matrix
+    base: SparseRows
     delta_red: np.ndarray
     delta_blue: np.ndarray
     rho_red: np.ndarray
@@ -242,7 +241,8 @@ def _residual_problem(g: ColoredGraph, phi: float, gamma: float, p_o: np.ndarray
     jump = build_fair_jump(g, phi)
     scale = (1.0 - gamma) / gamma
     owed = np.vstack([split.delta_r, split.delta_b])
-    q = np.vstack([solve_right(split._bare, d, gamma, tol=INNER_TOL) for d in owed])
+    bare = TransitionModel(split.base)
+    q = np.vstack([solve_right(bare, d, gamma, tol=INNER_TOL) for d in owed])
 
     def policy_point(kind):
         """``(loss, u, p)`` of a fixed policy, from one forward solve."""
@@ -257,7 +257,7 @@ def _residual_problem(g: ColoredGraph, phi: float, gamma: float, p_o: np.ndarray
     du = np.linalg.norm(starts[0][1] - starts[1][1])
     curvature = 2.0 * (np.linalg.norm(starts[0][2] - starts[1][2]) / du) ** 2 if du > 0.0 else np.inf
     return FsprProblem(
-        model=split._bare,
+        model=bare,
         gamma=gamma,
         p_o=p_o,
         constraint=np.vstack([g.red, ~g.red]) - scale * q,
@@ -329,22 +329,17 @@ class _RowSplit:
     """Per-edge ``base``, the mass each row still owes S_R and S_B = S - S_R,
     and the sinks' jump outside S; only the decomposition sets ``rho``/``short``."""
 
-    base: sparse.csr_matrix
+    base: SparseRows
     delta_r: np.ndarray
     delta_b: np.ndarray
     rest: tuple
     rho: np.ndarray | None = None
     short: np.ndarray | None = None
 
-    @cached_property
-    def _bare(self) -> TransitionModel:
-        """``base`` alone; every model of this split shares its transpose."""
-        return TransitionModel(base=self.base)
-
     def model(self, x: np.ndarray, y: np.ndarray) -> TransitionModel:
         """The transitions with the owed mass spread by ``x`` over S_R and ``y`` over S_B."""
         owed = tuple((d, t) for d, t in ((self.delta_r, x), (self.delta_b, y)) if d.any())
-        return self._bare.with_residuals(owed + self.rest)
+        return TransitionModel(self.base, owed + self.rest)
 
 
 def _split_rows(
@@ -409,7 +404,7 @@ def _split_rows(
         outside[~s_mask] = 1.0 / n
         rest = ((sink.astype(float), outside),)
 
-    base = sparse.csr_matrix((data, g.indices.copy(), g.indptr.copy()), shape=(n, n))
+    base = SparseRows(data, g.indices, g.indptr)
     return _RowSplit(base=base, delta_r=delta_r, delta_b=delta_b, rest=rest, rho=rho, short=short)
 
 

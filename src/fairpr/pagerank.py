@@ -6,6 +6,12 @@ redistribution, and residual policies are all rank-one corrections, so the
 full matrix is never materialized: left and right products cost one sparse
 matvec plus a dot product per term.
 
+The sparse base is a numpy-only CSR container, :class:`SparseRows`; each
+product is one ``np.bincount`` over its entries, which adds the same terms
+in the same order as a CSR matvec of ``base`` (right) or of its transpose
+(left), so no transpose is stored.  Keeping scipy out keeps its import, the
+largest part of a CLI process's start-up, off every command.
+
 The central fixed point is
 
     p' = (1 - gamma) p' M + gamma v'
@@ -21,7 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConvergenceError
 from .graph import ColoredGraph
@@ -34,6 +39,42 @@ DENSE_CAP = 2000
 
 
 @dataclass(frozen=True)
+class SparseRows:
+    """Square CSR matrix: row ``i`` holds ``data[indptr[i]:indptr[i+1]]`` in
+    the columns ``indices[indptr[i]:indptr[i+1]]``.  The arrays are not copied."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.indptr.shape[0] - 1
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The row of every entry."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+
+    def left(self, p: np.ndarray) -> np.ndarray:
+        """``p' A``; each column sums its entries in row order, as a CSR matvec of ``A'`` does."""
+        return self._sum_into(self.indices, p.take(self.rows))
+
+    def right(self, q: np.ndarray) -> np.ndarray:
+        """``A q``; each row sums its entries in storage order, as a CSR matvec does."""
+        return self._sum_into(self.rows, q.take(self.indices))
+
+    def _sum_into(self, slots: np.ndarray, values: np.ndarray) -> np.ndarray:
+        # bincount of no entries is int64 zeros, whatever the weights.
+        return np.bincount(slots, weights=values * self.data, minlength=self.n).astype(float, copy=False)
+
+    def to_dense(self) -> np.ndarray:
+        dense = np.zeros((self.n, self.n))
+        np.add.at(dense, (self.rows, self.indices), self.data)
+        return dense
+
+
+@dataclass(frozen=True)
 class TransitionModel:
     """Row-stochastic matrix: sparse base plus rank-one residual terms.
 
@@ -41,34 +82,23 @@ class TransitionModel:
     All entries are nonnegative and every row sums to one.
     """
 
-    base: sparse.csr_matrix
+    base: SparseRows
     residuals: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
 
     @property
     def n(self) -> int:
-        return self.base.shape[0]
-
-    @cached_property
-    def base_t(self) -> sparse.csr_matrix:
-        """``base'`` in CSR form, built once instead of on every left product."""
-        return self.base.T.tocsr()
-
-    def with_residuals(self, residuals: tuple) -> TransitionModel:
-        """The same base with other rank-one terms, sharing the cached ``base'``."""
-        model = TransitionModel(base=self.base, residuals=residuals)
-        model.__dict__["base_t"] = self.base_t  # where cached_property keeps it
-        return model
+        return self.base.n
 
     def apply_left(self, p: np.ndarray) -> np.ndarray:
         """Row-vector product ``p' M``."""
-        out = self.base_t @ p
+        out = self.base.left(p)
         for delta, target in self.residuals:
             out = out + (p @ delta) * target
         return out
 
     def apply_right(self, q: np.ndarray) -> np.ndarray:
         """Column-vector product ``M q``."""
-        out = self.base @ q
+        out = self.base.right(q)
         for delta, target in self.residuals:
             out = out + (target @ q) * delta
         return out
@@ -78,14 +108,18 @@ class TransitionModel:
         return self.apply_right(np.asarray(mask, dtype=float))
 
     def to_dense(self) -> np.ndarray:
-        dense = self.base.toarray()
+        dense = self.base.to_dense()
         for delta, target in self.residuals:
             dense += np.outer(delta, target)
         return dense
 
 
 def from_dense(mat: np.ndarray) -> TransitionModel:
-    return TransitionModel(base=sparse.csr_matrix(np.asarray(mat, dtype=float)))
+    mat = np.asarray(mat, dtype=float)
+    rows, cols = np.nonzero(mat)
+    indptr = np.zeros(mat.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=mat.shape[0]), out=indptr[1:])
+    return TransitionModel(base=SparseRows(mat[rows, cols], cols, indptr))
 
 
 def standard_transition(g: ColoredGraph) -> TransitionModel:
@@ -93,14 +127,11 @@ def standard_transition(g: ColoredGraph) -> TransitionModel:
     out = g.out_degree.astype(float)
     safe = np.where(out > 0, out, 1.0)
     data = np.repeat(1.0 / safe, g.out_degree)
-    base = sparse.csr_matrix(
-        (data, g.indices.copy(), g.indptr.copy()), shape=(g.n, g.n)
-    )
     residuals = ()
     if g.sinks.any():
         uniform = np.full(g.n, 1.0 / g.n)
         residuals = ((g.sinks.astype(float), uniform),)
-    return TransitionModel(base=base, residuals=residuals)
+    return TransitionModel(base=SparseRows(data, g.indices, g.indptr), residuals=residuals)
 
 
 def check_distribution(v: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -155,9 +186,12 @@ def solve_left(m, v, gamma, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, start=
     gamma = _check_gamma(gamma)
     v = np.asarray(v, dtype=float)
     p = v.copy() if start is None else np.asarray(start, dtype=float).copy()
+    jump, diff = gamma * v, np.empty_like(p)
     for _ in range(max_iters):
-        p_next = (1.0 - gamma) * m.apply_left(p) + gamma * v
-        step = np.abs(p_next - p).sum()
+        p_next = m.apply_left(p)
+        p_next *= 1.0 - gamma
+        p_next += jump
+        step = np.abs(np.subtract(p_next, p, out=diff), out=diff).sum()
         p = p_next
         if step <= tol:
             return p
@@ -169,9 +203,12 @@ def solve_right(m, r, gamma, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, start
     gamma = _check_gamma(gamma)
     r = np.asarray(r, dtype=float)
     q = r.copy() if start is None else np.asarray(start, dtype=float).copy()
+    jump, diff = gamma * r, np.empty_like(q)
     for _ in range(max_iters):
-        q_next = gamma * r + (1.0 - gamma) * m.apply_right(q)
-        step = np.abs(q_next - q).max()
+        q_next = m.apply_right(q)
+        q_next *= 1.0 - gamma
+        q_next += jump
+        step = np.abs(np.subtract(q_next, q, out=diff), out=diff).max()
         q = q_next
         if step <= tol:
             return q

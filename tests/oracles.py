@@ -9,7 +9,7 @@ from fairpr.pagerank import DEFAULT_GAMMA, INNER_TOL, solve_left
 
 def row_sums(m) -> np.ndarray:
     """Row sums of the effective matrix of a ``TransitionModel``."""
-    sums = np.asarray(m.base.sum(axis=1)).ravel()
+    sums = m.base.to_dense().sum(axis=1)
     for delta, target in m.residuals:
         sums = sums + delta * target.sum()
     return sums
@@ -17,7 +17,7 @@ def row_sums(m) -> np.ndarray:
 
 def effective_row(m, i: int) -> np.ndarray:
     """Row ``i`` of the effective matrix, dense."""
-    row = np.asarray(m.base.getrow(i).todense()).ravel()
+    row = m.base.to_dense()[i]
     for delta, target in m.residuals:
         row = row + delta[i] * target
     return row
@@ -25,7 +25,7 @@ def effective_row(m, i: int) -> np.ndarray:
 
 def validate(m, tol: float = 1e-9) -> None:
     """Raise ``ValueError`` unless the model is row-stochastic within ``tol``."""
-    if m.base.nnz and m.base.data.min() < 0:
+    if m.base.data.size and m.base.data.min() < 0:
         raise ValueError("negative entry in transition base")
     for delta, target in m.residuals:
         if delta.min() < -tol or target.min() < -tol:

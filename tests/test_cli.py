@@ -226,8 +226,16 @@ def test_audit_sampling(tmp_path, graph_files):
     assert len(lines) == 11
 
 
-def test_sweep_over_files(tmp_path, graph_files):
+def test_sweep_over_files(tmp_path, graph_files, monkeypatch):
     edges, colors, _ = graph_files
+    bound_phis = []
+    bound = fairpr.analysis.lower_bound_loss
+
+    def counted_bound(p_o, g, phi):
+        bound_phis.append(phi)
+        return bound(p_o, g, phi)
+
+    monkeypatch.setattr(fairpr.analysis, "lower_bound_loss", counted_bound)
     rc = main(
         [
             "sweep", "--edges", str(edges), "--colors", str(colors),
@@ -242,6 +250,7 @@ def test_sweep_over_files(tmp_path, graph_files):
     for r in rows:
         assert abs(float(r["red_mass"]) - float(r["phi"])) <= 1e-7
         assert float(r["loss"]) >= float(r["lower_bound_loss"]) - 1e-12
+    assert bound_phis == [0.3, 0.5]  # once per phi, shared by both algorithms
 
 
 def test_sweep_synthetic_grid(tmp_path):
@@ -276,13 +285,24 @@ def test_sweep_requires_some_input(tmp_path):
     assert main(["sweep", "--phi", "0.3", "--out", str(tmp_path)]) == 1
 
 
-def test_console_entry_point_runs():
-    # An uninstalled checkout: the child imports the package from src/.
+def _child_python(*args):
+    """Run Python in a child process that imports the package from this checkout's src/."""
     src = str(Path(fairpr.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "fairpr.cli", "--help"], capture_output=True, text=True, env=env
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # importing scipy.sparse would be most of every command's start-up time
+    proc = _child_python(
+        "-c", "import sys, fairpr.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_console_entry_point_runs():
+    proc = _child_python("-m", "fairpr.cli", "--help")
     assert proc.returncode == 0
     assert "rank" in proc.stdout
 
@@ -413,6 +433,26 @@ def test_malformed_target_node_id_names_its_file_and_line(tmp_path, graph_files,
     )
     assert rc == 1
     assert f"{tmp_path / 's.txt'}:4: node id must be an integer, got 'x1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--target-set", "--target-protected"])
+def test_target_node_id_beyond_int64_names_its_file_and_line(tmp_path, graph_files, capsys, option):
+    edges, colors, _ = graph_files
+    (tmp_path / "s.txt").write_text("0\n1\n2\n")
+    (tmp_path / "sr.txt").write_text("0\n")
+    (tmp_path / "huge.txt").write_text("# one id\n" + "9" * 25 + "\n")
+    files = {"--target-set": tmp_path / "s.txt", "--target-protected": tmp_path / "sr.txt"}
+    files[option] = tmp_path / "huge.txt"
+    rc = main(
+        [
+            "rank", "--edges", str(edges), "--colors", str(colors),
+            "--algo", "lfpr-u", "--phi", "0.5", "--out", str(tmp_path / "out"),
+            *(arg for name, path in files.items() for arg in (name, str(path))),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {tmp_path / 'huge.txt'}:2: node id out of range, got '{'9' * 25}'"]
 
 
 @pytest.mark.parametrize("iters", ["0", "-3", "1.5", "many"])

@@ -53,8 +53,8 @@ def test_decomposition_row_identities():
     for phi in (0.2, 0.5, 0.8):
         g = random_colored_graph(rng, 40, sink_frac=0.2)
         dec = residual_decompose(g, phi)
-        base_red = dec.base @ g.red.astype(float)
-        base_blue = dec.base @ (~g.red).astype(float)
+        base_red = dec.base.to_dense() @ g.red.astype(float)
+        base_blue = dec.base.to_dense() @ (~g.red).astype(float)
         np.testing.assert_allclose(base_red + dec.delta_red, phi, atol=1e-12)
         np.testing.assert_allclose(base_blue + dec.delta_blue, 1.0 - phi, atol=1e-12)
         assert dec.delta_red.min() >= 0.0 and dec.delta_blue.min() >= 0.0
@@ -88,7 +88,7 @@ def test_neighborhood_model_equals_decomposition_route():
     phi = 0.4
     dense = build_neighborhood_model(g, phi).to_dense()
     dec = residual_decompose(g, phi)
-    alt = dec.base.toarray()
+    alt = dec.base.to_dense()
     for i in range(g.n):
         nbrs = g.out_neighbors(i)
         red_nbrs = nbrs[g.red[nbrs]]

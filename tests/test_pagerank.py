@@ -55,6 +55,31 @@ def test_transition_model_products_match_dense():
         np.testing.assert_allclose(effective_row(m, i), dense[i], atol=1e-15)
 
 
+def test_sparse_products_equal_a_scipy_csr_matvec_bit_for_bit():
+    # the same terms summed in the same order: each column of p' A in row
+    # order, as a CSR matvec of A' adds them, and each row of A q in storage order
+    sparse = pytest.importorskip("scipy.sparse")
+    rng = np.random.default_rng(4)
+    for n in (30, 1000):
+        base = standard_transition(random_colored_graph(rng, n, sink_frac=0.2)).base
+        csr = sparse.csr_matrix((base.data, base.indices, base.indptr), shape=(n, n))
+        p, q = rng.dirichlet(np.ones(n)), rng.uniform(size=n)
+        np.testing.assert_array_equal(base.left(p), csr.T.tocsr() @ p)
+        np.testing.assert_array_equal(base.right(q), csr @ q)
+    mat = rng.uniform(size=(7, 7)) * (rng.uniform(size=(7, 7)) < 0.4)
+    base, csr = from_dense(mat).base, sparse.csr_matrix(mat)
+    for mine, theirs in ((base.data, csr.data), (base.indices, csr.indices), (base.indptr, csr.indptr)):
+        np.testing.assert_array_equal(mine, theirs)
+
+
+def test_products_of_an_edge_free_graph_are_float():
+    # np.bincount over no entries returns int64 zeros
+    m = standard_transition(from_edges(2, [], [True, False]))
+    for product in (m.base.left, m.base.right, m.apply_left, m.apply_right):
+        assert product(np.array([0.25, 0.75])).dtype == np.float64
+    np.testing.assert_array_equal(pagerank(m), [0.5, 0.5])
+
+
 def test_from_dense_round_trip():
     rng = np.random.default_rng(2)
     mat = rng.dirichlet(np.ones(6), size=6)
@@ -164,9 +189,7 @@ def test_rank_one_residual_model_matches_dense():
     # split the withheld 0.3 between the two terms, rows stay stochastic
     d1 = rng.uniform(0.0, 0.3, size=n)
     d2 = 0.3 - d1
-    from scipy import sparse
-
-    m = TransitionModel(base=sparse.csr_matrix(base), residuals=((d1, t1), (d2, t2)))
+    m = TransitionModel(base=from_dense(base).base, residuals=((d1, t1), (d2, t2)))
     validate(m)
     dense = m.to_dense()
     v = rng.dirichlet(np.ones(n))

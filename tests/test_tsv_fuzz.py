@@ -106,6 +106,7 @@ def _colored_ids(text: str) -> list[int]:
 @example(files=(b"0\t1\n\xff\xfe1\t0\n", b"0\t1\n1\t0\n"))  # not UTF-8
 @example(files=(b"0\t1\n1\t0\n0\t1\n", b"0\t1\n1\t0\n"))  # a duplicate edge
 @example(files=(b"0\t1\n", b"0\t1\n1\t1\n"))  # one color only
+@example(files=(b"", b"0\t0\n1\t1\n"))  # no edges: every product sums no entries
 def test_rank_accepts_or_rejects_fuzzed_tsv_files_cleanly(files):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
