@@ -30,6 +30,7 @@ from .pagerank import DEFAULT_GAMMA, TransitionModel, _check_phi, absorption_vec
 from .simplex import project_fair_simplex
 
 FAIRNESS_TOL = 1e-7
+AUDIT_FULL_NODES, AUDIT_SAMPLE_SIZE, AUDIT_BINS = 5000, 1000, 20
 
 
 def red_mass(p: np.ndarray, g: ColoredGraph) -> float:
@@ -116,24 +117,21 @@ def personalized_audit(
     sample=None,
     seed: int = 0,
     tol: float = FAIRNESS_TOL,
-    full_threshold: int = 5000,
-    sample_size: int = 1000,
-    bins: int = 20,
 ) -> PersonalizedAudit:
     """Audit per-node personalized fairness of a transition model.
 
     The adjusted values for all nodes come from one backward solve of
     ``Q e_R`` (identical to running a personalized PageRank per node).
     ``sample`` picks which nodes are reported: ``None`` reports everything
-    up to ``full_threshold`` nodes and a color-stratified sample beyond
+    up to ``AUDIT_FULL_NODES`` nodes and a color-stratified sample beyond
     that; an int requests that sample size; an array gives explicit ids.
     ``phi = None`` audits against the graph's red node share.
     """
     phi = g.n_red / g.n if phi is None else _check_phi(phi)
     adjusted_all = absorption_vector(m, g.red.astype(float), gamma) - gamma * g.red
 
-    if sample is None and g.n > full_threshold:
-        sample = sample_size
+    if sample is None and g.n > AUDIT_FULL_NODES:
+        sample = AUDIT_SAMPLE_SIZE
     if sample is None:
         nodes = np.arange(g.n)
     elif np.isscalar(sample):
@@ -159,7 +157,7 @@ def personalized_audit(
     target = phi * (1.0 - gamma)
     fair = np.abs(adjusted - target) <= tol
     red = g.red[nodes]
-    hist_edges = np.linspace(0.0, 1.0 - gamma, bins + 1)
+    hist_edges = np.linspace(0.0, 1.0 - gamma, AUDIT_BINS + 1)
     red_hist, _ = np.histogram(adjusted[red], bins=hist_edges)
     blue_hist, _ = np.histogram(adjusted[~red], bins=hist_edges)
     return PersonalizedAudit(
@@ -191,7 +189,6 @@ def make_report(
     g: ColoredGraph,
     phi: float,
     gamma: float = DEFAULT_GAMMA,
-    tol: float = FAIRNESS_TOL,
     lower_bound: float | None = None,
 ) -> FairnessReport:
     """Fairness and loss of ``scores``; ``lower_bound`` defaults to the global bound."""
@@ -202,7 +199,7 @@ def make_report(
         phi=float(phi),
         gamma=float(gamma),
         red_mass=mass,
-        fair=bool(abs(mass - phi) <= tol),
+        fair=bool(abs(mass - phi) <= FAIRNESS_TOL),
         loss=utility_loss(scores, p_o),
         lower_bound_loss=lower_bound,
     )

@@ -170,7 +170,7 @@ def _sweep_instances(args):
         for a_red in args.grid_alpha_red:
             for a_blue in args.grid_alpha_blue:
                 for s in range(args.grid_seeds):
-                    seed = int(np.random.SeedSequence([args.seed, cell]).generate_state(1)[0])
+                    seed = int(synth.child_seed(args.seed, cell).generate_state(1)[0])
                     cell += 1
                     cfg = synth.SynthConfig(
                         n=args.grid_n,

@@ -186,6 +186,8 @@ def solve_fspr(
         raise ValueError(f"tol must be a positive finite number, got {tol}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    if not (np.isfinite(problem.lipschitz) and problem.lipschitz > 0.0):
+        raise ValueError(f"lipschitz must be a positive finite number, got {problem.lipschitz}")
     project, project_kkt = _projection(problem), _projection(problem)
     model, gamma, p_o, shift = problem.model, problem.gamma, problem.p_o, problem.shift
     counts = {"forward": 0, "adjoint": 0, "backtracks": 0}

@@ -1,4 +1,4 @@
-"""Node-colored directed graphs: loading, validation, and group statistics.
+"""Node-colored directed graphs: loading, validation, and the summary CSV.
 
 Nodes carry a binary color (red = protected group, blue = the rest) and are
 identified by dense integer ids ``0..n-1``.  Adjacency is stored CSR-style so
@@ -302,51 +302,22 @@ def save_graph(g: ColoredGraph, edge_path, color_path) -> None:
         fh.write("".join(map("{}\t{}\n".format, range(g.n), g.red.view(np.uint8).tolist())))
 
 
-@dataclass(frozen=True)
-class GroupStats:
-    """Group sizes and cross-edge ratios.
+def write_summary_csv(g: ColoredGraph, path) -> None:
+    """Single-row CSV summary: n, edges, group shares, cross-edge ratios.
 
-    ``cross_red`` is the fraction of red-sourced edges that point to blue,
-    normalized by the blue share of nodes, so 1.0 means red sources pick
-    targets as if color-blind; below 1 is homophily, above 1 heterophily.
-    ``None`` when the group has no out-edges.
+    ``cross_R`` is the fraction of red-sourced edges that point to blue,
+    normalized by the blue share ``b`` of nodes, so 1.0 means red sources
+    pick targets as if color-blind; below 1 is homophily, above 1
+    heterophily.  ``cross_B`` is the same for blue; either is empty when its
+    group has no out-edges.
     """
-
-    r: float
-    b: float
-    cross_red: float | None
-    cross_blue: float | None
-
-
-def group_stats(g: ColoredGraph) -> GroupStats:
     r = g.n_red / g.n
     b = 1.0 - r
-    out_red = g.out_red
-    out_blue = g.out_blue
     red_src_edges = int(g.out_degree[g.red].sum())
     blue_src_edges = g.n_edges - red_src_edges
-
-    cross_red = None
-    if red_src_edges > 0:
-        frac = out_blue[g.red].sum() / red_src_edges
-        cross_red = float(frac / b)
-    cross_blue = None
-    if blue_src_edges > 0:
-        frac = out_red[~g.red].sum() / blue_src_edges
-        cross_blue = float(frac / r)
-    return GroupStats(r=float(r), b=float(b), cross_red=cross_red, cross_blue=cross_blue)
-
-
-def write_summary_csv(g: ColoredGraph, path) -> None:
-    """Single-row CSV summary: n, edges, group shares, cross-edge ratios."""
-    stats = group_stats(g)
-
-    def fmt(v):
-        return "" if v is None else f"{v:.17g}"
-
+    cross_red = f"{g.out_blue[g.red].sum() / red_src_edges / b:.17g}" if red_src_edges > 0 else ""
+    cross_blue = f"{g.out_red[~g.red].sum() / blue_src_edges / r:.17g}" if blue_src_edges > 0 else ""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "edges", "r", "b", "cross_R", "cross_B"])
-        writer.writerow(
-            [g.n, g.n_edges, fmt(stats.r), fmt(stats.b), fmt(stats.cross_red), fmt(stats.cross_blue)]
-        )
+        writer.writerow([g.n, g.n_edges, f"{r:.17g}", f"{b:.17g}", cross_red, cross_blue])

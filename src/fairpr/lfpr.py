@@ -15,12 +15,7 @@ optimized to minimize utility loss.  The scores are affine in the mass
 ``u = (1 - gamma) / gamma * [(p' delta_R) x + (p' delta_B) y]`` that the
 optimized policy (x, y) pays out, so its utility loss is a convex QP in u,
 which ``optimize_residuals`` solves on the loop of
-:func:`fairpr.fspr.solve_fspr`; its ``kkt_residual`` is measured in u.  On
-generated graphs (the benchmark's generator, seed 12345, ``phi = 0.3``) it
-converges to the default ``tol = 1e-8`` in 49 iterations and about 0.1 s
-at n = 400 (2-core host), at 1.037x the lower bound, and in 86 iterations
-and 0.6 s at n = 5000, at 1.113x.  A projected gradient in (x, y) stopped
-unconverged at its 200 iterations: 0.65 s at 1.037x, 2.4 s at 1.191x.
+:func:`fairpr.fspr.solve_fspr`; its ``kkt_residual`` is measured in u.
 
 The global model is the targeted model at S = all nodes and S_R = red:
 targeted fairness splits only the mass a row sends into a target set S,
@@ -253,7 +248,8 @@ def _residual_problem(g: ColoredGraph, phi: float, gamma: float, p_o: np.ndarray
 
     starts = [policy_point(kind) for kind in (PolicyKind.UNIFORM, PolicyKind.PROPORTIONAL)]
     # The secant between the starts estimates the curvature 2 ||du' Q||^2 / ||du||^2;
-    # above the solver's default of 1 it is no better a guess.
+    # above the solver's default of 1 it is no better a guess.  Coinciding policies,
+    # whose u differ by rounding alone, give 0, which says nothing: 1 stands then too.
     du = np.linalg.norm(starts[0][1] - starts[1][1])
     curvature = 2.0 * (np.linalg.norm(starts[0][2] - starts[1][2]) / du) ** 2 if du > 0.0 else np.inf
     return FsprProblem(
@@ -264,7 +260,7 @@ def _residual_problem(g: ColoredGraph, phi: float, gamma: float, p_o: np.ndarray
         rhs=scale * (q @ jump),
         shift=jump,
         start=min(starts, key=lambda point: point[0])[1],
-        lipschitz=min(curvature, 1.0),
+        lipschitz=curvature if 0.0 < curvature < 1.0 else 1.0,
     )
 
 

@@ -35,7 +35,6 @@ DEFAULT_GAMMA = 0.15
 DEFAULT_TOL = 1e-12
 INNER_TOL = 1e-13  # inside the optimizers, whose gradients need exact products
 DEFAULT_MAX_ITERS = 10_000
-DENSE_CAP = 2000
 
 
 @dataclass(frozen=True)
@@ -183,36 +182,33 @@ def solve_left(m, v, gamma, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, start=
     row-stochastic, so this converges for any right-hand side, including
     the non-distribution vectors used inside gradient computations.
     """
-    gamma = _check_gamma(gamma)
-    v = np.asarray(v, dtype=float)
-    p = v.copy() if start is None else np.asarray(start, dtype=float).copy()
-    jump, diff = gamma * v, np.empty_like(p)
-    for _ in range(max_iters):
-        p_next = m.apply_left(p)
-        p_next *= 1.0 - gamma
-        p_next += jump
-        step = np.abs(np.subtract(p_next, p, out=diff), out=diff).sum()
-        p = p_next
-        if step <= tol:
-            return p
-    raise ConvergenceError(f"left fixed point not within {tol} after {max_iters} iterations")
+    return _fixed_point(m.apply_left, v, gamma, np.add.reduce, tol, max_iters, start, "left")
 
 
 def solve_right(m, r, gamma, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, start=None):
     """Fixed point of ``q = gamma r + (1 - gamma) M q`` (max-norm contraction)."""
+    return _fixed_point(m.apply_right, r, gamma, np.maximum.reduce, tol, max_iters, start, "right")
+
+
+def _fixed_point(apply, r, gamma, reduce, tol, max_iters, start, side):
+    """Iterate ``x <- (1 - gamma) apply(x) + gamma r`` until ``reduce(|step|) <= tol``.
+
+    ``reduce`` is ``np.add.reduce`` (L1) or ``np.maximum.reduce`` (max norm):
+    the same bits as ``.sum()``/``.max()``, without ``np.sum``'s dispatch.
+    """
     gamma = _check_gamma(gamma)
     r = np.asarray(r, dtype=float)
-    q = r.copy() if start is None else np.asarray(start, dtype=float).copy()
-    jump, diff = gamma * r, np.empty_like(q)
+    x = r.copy() if start is None else np.asarray(start, dtype=float).copy()
+    jump, diff = gamma * r, np.empty_like(x)
     for _ in range(max_iters):
-        q_next = m.apply_right(q)
-        q_next *= 1.0 - gamma
-        q_next += jump
-        step = np.abs(np.subtract(q_next, q, out=diff), out=diff).max()
-        q = q_next
+        x_next = apply(x)
+        x_next *= 1.0 - gamma
+        x_next += jump
+        step = reduce(np.abs(np.subtract(x_next, x, out=diff), out=diff))
+        x = x_next
         if step <= tol:
-            return q
-    raise ConvergenceError(f"right fixed point not within {tol} after {max_iters} iterations")
+            return x
+    raise ConvergenceError(f"{side} fixed point not within {tol} after {max_iters} iterations")
 
 
 def pagerank(m: TransitionModel, gamma: float = DEFAULT_GAMMA, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -230,31 +226,22 @@ def personalized_pagerank(
     return power_iterate(m, v, gamma, tol=tol)
 
 
-def absorption_vector(
-    m: TransitionModel,
-    mask: np.ndarray,
-    gamma: float = DEFAULT_GAMMA,
-    tol: float = 1e-13,
-    max_iters: int = DEFAULT_MAX_ITERS,
-) -> np.ndarray:
+def absorption_vector(m: TransitionModel, mask: np.ndarray, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
     """Per-start-node mass absorbed by ``mask``: the vector ``Q mask``.
 
     Entry ``j`` equals the personalized PageRank of ``j`` summed over the
     set, computed backward in one solve instead of n forward solves.  The
-    final max-norm error is at most ``tol * (1 - gamma) / gamma``.
+    final max-norm error is at most ``INNER_TOL * (1 - gamma) / gamma``.
     """
-    mask = np.asarray(mask, dtype=float)
-    return solve_right(m, mask, gamma, tol=tol, max_iters=max_iters)
+    return solve_right(m, np.asarray(mask, dtype=float), gamma, tol=INNER_TOL)
 
 
-def red_absorption_vector(
-    m: TransitionModel, g: ColoredGraph, gamma: float = DEFAULT_GAMMA, tol: float = 1e-13
-) -> np.ndarray:
+def red_absorption_vector(m: TransitionModel, g: ColoredGraph, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
     """Vector of personalized red masses ``Q e_R`` (one backward solve)."""
-    return absorption_vector(m, g.red.astype(float), gamma, tol=tol)
+    return absorption_vector(m, g.red.astype(float), gamma)
 
 
-def dense_q(m: TransitionModel, gamma: float = DEFAULT_GAMMA, cap: int = DENSE_CAP) -> np.ndarray:
+def dense_q(m: TransitionModel, gamma: float = DEFAULT_GAMMA, cap: int = 2000) -> np.ndarray:
     """Dense resolvent ``Q = gamma [I - (1 - gamma) M]^{-1}``.
 
     Row i is the personalized PageRank of node i; Q is row-stochastic.

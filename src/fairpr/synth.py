@@ -62,13 +62,13 @@ def _seed_colors(n0: int, red_fraction: float) -> np.ndarray:
     return ((pos + 1) * target) // n0 > (pos * target) // n0
 
 
-def generate(cfg: SynthConfig, max_retries: int = 10) -> ColoredGraph:
+def generate(cfg: SynthConfig) -> ColoredGraph:
     """Grow one synthetic graph; deterministic for a fixed config.
 
-    Regenerates with a shifted stream in the rare case a color group ends
-    up empty (possible only for tiny n or extreme ``red_fraction``).
+    Regenerates, up to ten times, with a shifted stream in the rare case a
+    color group ends up empty (possible only for tiny n or extreme ``red_fraction``).
     """
-    for attempt in range(max_retries):
+    for attempt in range(10):
         rng = np.random.default_rng(child_seed(cfg.seed, attempt))
         red = np.zeros(cfg.n, dtype=bool)
         red[: cfg.n0] = _seed_colors(cfg.n0, cfg.red_fraction)

@@ -3,10 +3,11 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import clipped_lower_bound_oracle, random_colored_graph, row_fair_matrix
+from fairpr import analysis
 from fairpr.analysis import (
     converse_check,
     lower_bound_loss,
@@ -132,11 +133,13 @@ def test_audit_sampling_is_seeded_and_stratified():
     assert not np.array_equal(a1.nodes, a3.nodes)
 
 
-def test_audit_full_threshold_triggers_sampling():
+def test_audit_full_threshold_triggers_sampling(monkeypatch):
     rng = np.random.default_rng(5)
     g = random_colored_graph(rng, 50)
     m = standard_transition(g)
-    audit = personalized_audit(m, g, full_threshold=10, sample_size=15)
+    monkeypatch.setattr(analysis, "AUDIT_FULL_NODES", 10)
+    monkeypatch.setattr(analysis, "AUDIT_SAMPLE_SIZE", 15)
+    audit = personalized_audit(m, g)
     assert audit.nodes.size == 15
 
 
@@ -229,6 +232,8 @@ def test_targeted_lower_bound_sits_below_every_targeted_loss():
     sink_frac=st.sampled_from([0.0, 0.1, 0.3]),
     phi=st.floats(0.05, 0.95),
 )
+# lfpr-o where the uniform and proportional policies coincide (equal red p_o)
+@example(seed=545203649, n=4, red_frac=0.75, sink_frac=0.3, phi=0.75)
 def test_lower_bound_sits_below_the_loss_of_every_algorithm(seed, n, red_frac, sink_frac, phi):
     # small random graphs with sinks; fspr only where phi is attainable
     g = random_colored_graph(np.random.default_rng(seed), n, red_frac=red_frac, sink_frac=sink_frac)

@@ -505,6 +505,20 @@ def test_converged_lfpr_o_is_silent(tmp_path, graph_files, capsys):
     assert report["converged"] is True and report["kkt_residual"] <= 1e-6
 
 
+def test_lfpr_o_where_its_two_starting_policies_coincide(tmp_path, capsys):
+    # The red nodes 0, 1, 3 link to each other alike and share one PageRank, so
+    # the uniform and proportional policies agree: their secant has no curvature.
+    (tmp_path / "e.tsv").write_text("0\t1\n0\t3\n1\t0\n1\t3\n3\t0\n3\t1\n")
+    (tmp_path / "c.tsv").write_text("0\t1\n1\t1\n2\t0\n3\t1\n")
+    graph = ["--edges", str(tmp_path / "e.tsv"), "--colors", str(tmp_path / "c.tsv")]
+    args = ["--algo", "lfpr-o", "--phi", "0.75", "--out", str(tmp_path)]
+    assert main(["rank", *graph, *args]) == 0
+    assert main(["audit", *graph, *args]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["fair"] is True and report["converged"] is True
+
+
 def test_lfpr_o_reruns_are_byte_identical(tmp_path, graph_files):
     edges, colors, _ = graph_files
     for sub in ("a", "b"):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,16 @@ def test_solver_rejects_an_empty_iteration_budget(budget):
     prob = fspr_problem(m, g, feasible_phi(prob_qr_of(m, g), 0.5))
     with pytest.raises(ValueError, match="max_iters must be at least 1"):
         solve_fspr(prob, max_iters=budget)
+
+
+@pytest.mark.parametrize("lipschitz", [float("nan"), float("inf"), 0.0, -1.0])
+def test_solver_rejects_a_meaningless_lipschitz_estimate(lipschitz):
+    rng = np.random.default_rng(6)
+    g = random_colored_graph(rng, 20)
+    m = standard_transition(g)
+    prob = fspr_problem(m, g, feasible_phi(prob_qr_of(m, g), 0.5))
+    with pytest.raises(ValueError, match="lipschitz must be a positive finite number"):
+        solve_fspr(replace(prob, lipschitz=lipschitz))
 
 
 def test_targeted_problem_differs_from_global_only_in_its_constraint():

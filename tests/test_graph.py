@@ -1,3 +1,4 @@
+import csv
 import re
 
 import numpy as np
@@ -8,7 +9,6 @@ from fairpr import cli, graph
 from fairpr.errors import GraphError
 from fairpr.graph import (
     from_edges,
-    group_stats,
     load_graph,
     save_graph,
     write_summary_csv,
@@ -150,24 +150,30 @@ def test_load_graph_names_the_file_and_line_of_an_invalid_graph(tmp_path, edges,
         load_graph(tmp_path / "e.tsv", tmp_path / "c.tsv")
 
 
-def test_group_stats_color_blind_graph_has_unit_cross_ratios():
+def summary_row(g, tmp_path) -> dict:
+    write_summary_csv(g, tmp_path / "summary.csv")
+    with open(tmp_path / "summary.csv", newline="") as fh:
+        return next(csv.DictReader(fh))
+
+
+def test_group_stats_color_blind_graph_has_unit_cross_ratios(tmp_path):
     # every node links to all others: target colors follow group shares
     n = 10
     red = np.arange(n) < 4
     edges = [(u, v) for u in range(n) for v in range(n) if u != v]
-    stats = group_stats(from_edges(n, edges, red))
-    assert stats.r == pytest.approx(0.4)
-    assert stats.b == pytest.approx(0.6)
+    stats = summary_row(from_edges(n, edges, red), tmp_path)
+    assert float(stats["r"]) == pytest.approx(0.4)
+    assert float(stats["b"]) == pytest.approx(0.6)
     # self exclusion skews counts by one node out of n-1
-    assert stats.cross_red == pytest.approx((6 / 9) / 0.6)
-    assert stats.cross_blue == pytest.approx((4 / 9) / 0.4)
+    assert float(stats["cross_R"]) == pytest.approx((6 / 9) / 0.6)
+    assert float(stats["cross_B"]) == pytest.approx((4 / 9) / 0.4)
 
 
-def test_group_stats_none_when_group_has_no_out_edges():
+def test_group_stats_none_when_group_has_no_out_edges(tmp_path):
     g = from_edges(3, [(1, 0), (2, 0)], [True, False, False])
-    stats = group_stats(g)
-    assert stats.cross_red is None
-    assert stats.cross_blue == pytest.approx((2 / 2) / (1 / 3))
+    stats = summary_row(g, tmp_path)
+    assert stats["cross_R"] == ""
+    assert float(stats["cross_B"]) == pytest.approx((2 / 2) / (1 / 3))
 
 
 def test_write_summary_csv(tmp_path):
