@@ -67,9 +67,7 @@ def _lfpr_policy(g, algo, args, phi, gamma, p_o):
     """Residual policy of a global lfpr algorithm, plus lfpr-o's solver fields."""
     if algo != "lfpr-o":
         return lfpr.make_policy(LFPR_KINDS[algo], g, p_o=p_o), {}
-    result = lfpr.optimize_residuals(
-        g, phi, gamma, p_o, iterations=200 if args.iters is None else args.iters, tol=args.tol
-    )
+    result = lfpr.optimize_residuals(g, phi, gamma, p_o, iterations=args.iters, tol=args.tol)
     return result.policy, _solver_fields(algo, result, args.tol)
 
 
@@ -91,9 +89,7 @@ def _rank_once(g, algo, args, phi, p_o, gamma, targets):
             problem = fspr.targeted_fspr_problem(
                 model, g, targets[0], targets[1], phi, gamma, p_o=p_o
             )
-        solution = fspr.solve_fspr(
-            problem, tol=args.tol, max_iters=5000 if args.iters is None else args.iters
-        )
+        solution = fspr.solve_fspr(problem, tol=args.tol, max_iters=args.iters)
         scores = solution.scores
         extras.update(
             {
@@ -328,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--tol", type=_tolerance, default=1e-8, help="solver tolerance")
-        p.add_argument("--iters", type=_count("iters"), default=None,
-                       help="iteration budget (fspr 5000, lfpr-o 200)")
+        p.add_argument("--iters", type=_count("iters"), default=5000,
+                       help="iteration budget of the fspr and lfpr-o solvers")
 
     p_rank = sub.add_parser("rank", help="compute one fair ranking")
     common(p_rank)

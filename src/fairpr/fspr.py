@@ -32,6 +32,27 @@ adjoint solve, and the best point is always one whose products were
 solved.  Every projection is one :func:`fairpr.simplex.project_polyhedron`
 call, warm-started at the last multipliers; a jump vector's ``B = [1; a]``
 is built once, in the shifted form of :func:`fairpr.simplex.fair_rows`.
+
+The products are inexact, as accelerated methods allow when their error
+shrinks faster than the outer residual (Schmidt, Le Roux & Bach,
+"Convergence rates of inexact proximal-gradient methods for convex
+optimization", NeurIPS 2011): each forward and adjoint solve inside the
+loop stops at ``max(INNER_TOL, INNER_THETA * KKT)``, with the KKT residual
+of the last solved iterate.  A solve stopped at step ``s`` is within
+``s (1 - gamma) / gamma`` of its fixed point, in L1 for p, so its loss is
+within ``delta = 2 ||p - p_O||_inf s (1 - gamma) / gamma``, and an
+extrapolated point's error is at most three times the larger of its two
+iterates'.  The line search and the restart test treat the products as
+such a delta-oracle (Devolder, Glineur & Nesterov, "First-order methods of
+smooth convex optimization with inexact oracle", Math. Prog. 2014): a
+violation counts only beyond what the errors explain.  Because f is
+quadratic, the line search tests ``|p(x) - p(y)|^2 <= L/2 |x - y|^2``, the
+majorization with ``f(y)`` and the gradient term cancelled exactly: a
+difference of two loss values near 0.1 is all rounding once the steps are
+small, and so is a test on it.  The loop's products are only as exact as
+its last residual asked, so the returned scores are re-solved once at
+``INNER_TOL``, warm-started at their loose solve, and the loss is taken from
+them.
 """
 
 from __future__ import annotations
@@ -45,6 +66,7 @@ from .errors import InfeasibleError
 from .graph import ColoredGraph, _check_target_sets
 from .pagerank import (
     DEFAULT_GAMMA,
+    INNER_THETA,
     INNER_TOL,
     TransitionModel,
     _check_phi,
@@ -134,7 +156,11 @@ def targeted_fspr_problem(
 
 @dataclass(frozen=True)
 class FsprSolution:
-    """The best iterate, its diagnostics (``achieved_fairness`` needs a ``q_r``) and work."""
+    """The best iterate, its diagnostics (``achieved_fairness`` needs a ``q_r``) and work.
+
+    ``forward_solves`` and ``adjoint_solves`` count the loop's solves,
+    ``matvecs`` every transition product, the final re-solve included.
+    """
 
     x: np.ndarray
     scores: np.ndarray
@@ -147,6 +173,7 @@ class FsprSolution:
     forward_solves: int
     adjoint_solves: int
     backtracks: int
+    matvecs: int
 
 
 def _projection(problem: FsprProblem):
@@ -190,25 +217,33 @@ def solve_fspr(
         raise ValueError(f"lipschitz must be a positive finite number, got {problem.lipschitz}")
     project, project_kkt = _projection(problem), _projection(problem)
     model, gamma, p_o, shift = problem.model, problem.gamma, problem.p_o, problem.shift
-    counts = {"forward": 0, "adjoint": 0, "backtracks": 0}
+    counts = {"forward": 0, "adjoint": 0, "backtracks": 0, "matvecs": 0}
+    spread = (1.0 - gamma) / gamma  # a solve stopped at step s is within s * spread
+    inner = INNER_TOL  # until the first KKT residual is known
 
-    def forward(x, start):
-        counts["forward"] += 1
-        return solve_left(model, x if shift is None else x + shift, gamma, tol=INNER_TOL, start=start)
+    def forward(x, start, stop):
+        return solve_left(model, x if shift is None else x + shift, gamma, tol=stop, start=start, counts=counts)
 
-    def gradient(p, start):
+    def solved(x, p, start):
+        """``(x, p, grad, f, err)`` of a point whose p was solved at ``inner``; ``err`` bounds p's L1 error."""
         counts["adjoint"] += 1
-        return 2.0 * solve_right(model, p - p_o, gamma, tol=INNER_TOL, start=start)
-
-    def loss(p):
         diff = p - p_o
-        return float(diff @ diff)
+        grad = 2.0 * solve_right(model, diff, gamma, tol=inner, start=start, counts=counts)
+        return x, p, grad, float(diff @ diff), inner * spread
+
+    def delta(point):
+        """The error of a point's loss that its products' error can explain: ``2 ||p - p_o||_inf err``."""
+        return 2.0 * float(np.abs(point[1] - p_o).max()) * point[4]
+
+    def kkt_of(point):
+        return float(np.linalg.norm(point[0] - project_kkt(point[0] - point[2])))
 
     x = project(np.full(model.n, 1.0 / model.n)) if problem.start is None else problem.start
-    p = forward(x, None)
-    cur = (x, p, gradient(p, None), loss(p))  # (x, p, grad, f) of a solved point
-    best, best_kkt = cur, float(np.linalg.norm(x - project_kkt(x - cur[2])))
-    y = cur  # momentum point, same layout
+    counts["forward"] += 1
+    cur = solved(x, forward(x, None, inner), None)
+    best, best_kkt = cur, kkt_of(cur)
+    inner = max(INNER_TOL, INNER_THETA * best_kkt)
+    y = cur  # momentum point, same layout; an extrapolated one has no loss
     t_momentum = 1.0
     lip = problem.lipschitz
     iters_used = 0
@@ -216,32 +251,36 @@ def solve_fspr(
 
     for k in range(1, max_iters + 1):
         iters_used = k
-        y_x, y_p, y_g, f_y = y
+        y_x, y_p, y_g, _, y_err = y
 
         # Backtracking line search on the majorization at y; one forward solve a trial.
+        # f is quadratic, so f(x) <= f(y) + grad(y)'(x - y) + lip/2 |x - y|^2 says
+        # |p(x) - p(y)|^2 <= lip/2 |x - y|^2: no loss values, whose difference
+        # cancels, and a violation counts only beyond the products' errors.
         p_new = y_p
         for _ in range(60):
             x_new = project(y_x - y_g / lip)
             step = x_new - y_x
-            p_new = forward(x_new, p_new)
-            f_new = loss(p_new)
-            bound = f_y + y_g @ step + 0.5 * lip * (step @ step)
-            if f_new <= bound + 1e-13 * (1.0 + abs(f_y)):
+            counts["forward"] += 1
+            p_new = forward(x_new, p_new, inner)
+            dp = p_new - y_p
+            noise = 2.0 * float(np.abs(dp).max()) * (inner * spread + y_err)
+            if dp @ dp - noise <= 0.5 * lip * (step @ step):
                 break
             lip *= 2.0
             counts["backtracks"] += 1
 
-        g_new = gradient(p_new, 0.5 * y_g)
-        new = (x_new, p_new, g_new, f_new)
-        kkt = float(np.linalg.norm(x_new - project_kkt(x_new - g_new)))
-        if f_new < best[3]:
+        new = solved(x_new, p_new, 0.5 * y_g)
+        kkt = kkt_of(new)
+        inner = max(INNER_TOL, INNER_THETA * kkt)
+        if new[3] < best[3]:
             best, best_kkt = new, kkt
         if kkt <= tol:
             best, best_kkt = new, kkt
             converged = True
             break
 
-        if f_new > cur[3] + 1e-12 * (1.0 + abs(cur[3])):
+        if new[3] > cur[3] + 1e-12 * (1.0 + abs(cur[3])) + delta(new) + delta(cur):
             # Momentum overshot beyond solver noise: restart from the best point.
             cur = y = best
             t_momentum = 1.0
@@ -253,19 +292,23 @@ def solve_fspr(
         else:
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2))
             beta = (t_momentum - 1.0) / t_next
-            # x -> (x + w)'Q and x -> Q((x + w)'Q - p_o) are affine: extrapolate them with x.
+            # x -> (x + w)'Q and x -> Q((x + w)'Q - p_o) are affine: extrapolate them with x,
+            # and p's error bound with them, at most 3 times the larger of the two.
             y_x, y_p, y_g = (v + beta * (v - v_old) for v, v_old in zip(new[:3], cur[:3]))
-            y = (y_x, y_p, y_g, loss(y_p))
+            y = (y_x, y_p, y_g, None, (1.0 + beta) * new[4] + beta * cur[4])
             cur = new
             t_momentum = t_next
         lip = max(lip * 0.9, 1e-6)
 
-    best_x, scores, _, best_f = best
+    # The loop's products are only as exact as its last KKT residual asked;
+    # the returned scores and loss are re-solved at the floor.
+    best_x = best[0]
+    scores = forward(best_x, best[1], INNER_TOL)
     a, rhs = problem.constraint, problem.rhs
     return FsprSolution(
         x=best_x,
         scores=scores,
-        loss=best_f,
+        loss=float((scores - p_o) @ (scores - p_o)),
         achieved_fairness=None if problem.q_r is None else float(best_x @ problem.q_r),
         constraint_residual=float(np.abs(a @ best_x - rhs).max()),
         kkt_residual=best_kkt,
@@ -274,6 +317,7 @@ def solve_fspr(
         forward_solves=counts["forward"],
         adjoint_solves=counts["adjoint"],
         backtracks=counts["backtracks"],
+        matvecs=counts["matvecs"],
     )
 
 

@@ -211,7 +211,8 @@ def lfpr_pagerank(
 
 @dataclass(frozen=True)
 class OptimizedSearchResult:
-    """The optimized policy, its diagnostics, and its work (``evaluations``: forward solves)."""
+    """The optimized policy, its diagnostics, and its work (``evaluations``: forward solves;
+    ``matvecs``: transition products), each counting the problem's own solves too."""
 
     policy: ResidualPolicy
     loss: float
@@ -221,28 +222,33 @@ class OptimizedSearchResult:
     evaluations: int
     adjoint_solves: int
     backtracks: int
+    matvecs: int
 
 
-def _residual_problem(g: ColoredGraph, phi: float, gamma: float, p_o: np.ndarray) -> FsprProblem:
+def _residual_problem(
+    g: ColoredGraph, phi: float, gamma: float, p_o: np.ndarray, counts: dict | None = None
+) -> FsprProblem:
     r"""The lfpr-o program as an :class:`FsprProblem` in ``u``.
 
     With ``u = (1 - gamma) / gamma * [(p' delta_R) x + (p' delta_B) y]`` the
     locally fair fixed point becomes ``p' = (u + v)' Q`` for the fair jump
     ``v`` and the resolvent ``Q`` of ``P_L`` alone.  Summing u over each group
     and writing ``p' delta = (u + v)' Q delta`` gives its two equalities.  It
-    starts at the better of the uniform and proportional policies.
+    starts at the better of the uniform and proportional policies.  Its four
+    solves add their products to ``counts["matvecs"]`` as in
+    :func:`fairpr.pagerank.solve_left`.
     """
     split = _split_rows(g, _everyone(g), g.red, phi, neighborhood=False)
     jump = build_fair_jump(g, phi)
     scale = (1.0 - gamma) / gamma
     owed = np.vstack([split.delta_r, split.delta_b])
     bare = TransitionModel(split.base)
-    q = np.vstack([solve_right(bare, d, gamma, tol=INNER_TOL) for d in owed])
+    q = np.vstack([solve_right(bare, d, gamma, tol=INNER_TOL, counts=counts) for d in owed])
 
     def policy_point(kind):
         """``(loss, u, p)`` of a fixed policy, from one forward solve."""
         x, y = _fixed_policy_vectors(kind, g.red, ~g.red, p_o)
-        p = solve_left(split.model(x, y), jump, gamma, tol=INNER_TOL)
+        p = solve_left(split.model(x, y), jump, gamma, tol=INNER_TOL, counts=counts)
         paid = scale * (owed @ p)
         return float((p - p_o) @ (p - p_o)), paid[0] * x + paid[1] * y, p
 
@@ -276,7 +282,7 @@ def optimize_residuals(
     gamma: float = DEFAULT_GAMMA,
     p_o: np.ndarray | None = None,
     *,
-    iterations: int = 200,
+    iterations: int = 5000,
     tol: float = 1e-8,
 ) -> OptimizedSearchResult:
     """Redistribution vectors minimizing the utility loss, as a convex QP.
@@ -295,7 +301,8 @@ def optimize_residuals(
         raise ValueError(f"iterations must be at least 1, got {iterations}")
     if p_o is None:
         p_o = pagerank(standard_transition(g), gamma)
-    sol = solve_fspr(_residual_problem(g, phi, gamma, p_o), tol=tol, max_iters=iterations)
+    counts = {"matvecs": 0}
+    sol = solve_fspr(_residual_problem(g, phi, gamma, p_o, counts), tol=tol, max_iters=iterations)
     return OptimizedSearchResult(
         policy=ResidualPolicy(PolicyKind.OPTIMIZED, x=_normalized(sol.x, g.red), y=_normalized(sol.x, ~g.red)),
         loss=sol.loss,
@@ -305,6 +312,7 @@ def optimize_residuals(
         evaluations=sol.forward_solves + 2,  # with the problem's own solves
         adjoint_solves=sol.adjoint_solves + 2,
         backtracks=sol.backtracks,
+        matvecs=sol.matvecs + counts["matvecs"],
     )
 
 

@@ -33,7 +33,12 @@ from .graph import ColoredGraph
 
 DEFAULT_GAMMA = 0.15
 DEFAULT_TOL = 1e-12
-INNER_TOL = 1e-13  # inside the optimizers, whose gradients need exact products
+# The optimizers' floor: their problem data, the tightest inner solve of their
+# loop and the final re-solve of the scores they return all stop at this step.
+INNER_TOL = 1e-13
+# Inside the optimizers' loop, forward and adjoint solves stop at
+# max(INNER_TOL, INNER_THETA * the KKT residual of the last solved iterate).
+INNER_THETA = 3e-5
 DEFAULT_MAX_ITERS = 10_000
 
 
@@ -175,40 +180,56 @@ def _check_phi(phi: float) -> float:
     return phi
 
 
-def solve_left(m, v, gamma, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, start=None):
+def solve_left(m, v, gamma, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, start=None, counts=None):
     """Fixed point of ``p' = (1 - gamma) p' M + gamma v'`` for arbitrary v.
 
     The map is an L1 contraction with factor ``1 - gamma`` because M is
     row-stochastic, so this converges for any right-hand side, including
-    the non-distribution vectors used inside gradient computations.
+    the non-distribution vectors used inside gradient computations.  The
+    final L1 error is at most ``tol * (1 - gamma) / gamma``.  A ``counts``
+    mapping, if given, has its ``"matvecs"`` entry raised by the products
+    the solve spent.
     """
-    return _fixed_point(m.apply_left, v, gamma, np.add.reduce, tol, max_iters, start, "left")
+    return _fixed_point(m.apply_left, v, gamma, np.add.reduce, tol, max_iters, start, "left", counts)
 
 
-def solve_right(m, r, gamma, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, start=None):
-    """Fixed point of ``q = gamma r + (1 - gamma) M q`` (max-norm contraction)."""
-    return _fixed_point(m.apply_right, r, gamma, np.maximum.reduce, tol, max_iters, start, "right")
+def solve_right(m, r, gamma, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, start=None, counts=None):
+    """Fixed point of ``q = gamma r + (1 - gamma) M q`` (max-norm contraction).
+
+    The final max-norm error is at most ``tol * (1 - gamma) / gamma``;
+    ``counts`` as in :func:`solve_left`.
+    """
+    return _fixed_point(m.apply_right, r, gamma, np.maximum.reduce, tol, max_iters, start, "right", counts)
 
 
-def _fixed_point(apply, r, gamma, reduce, tol, max_iters, start, side):
+def _fixed_point(apply, r, gamma, reduce, tol, max_iters, start, side, counts):
     """Iterate ``x <- (1 - gamma) apply(x) + gamma r`` until ``reduce(|step|) <= tol``.
 
     ``reduce`` is ``np.add.reduce`` (L1) or ``np.maximum.reduce`` (max norm):
     the same bits as ``.sum()``/``.max()``, without ``np.sum``'s dispatch.
+    Adds its step count to ``counts["matvecs"]`` unless ``counts`` is None.
     """
     gamma = _check_gamma(gamma)
     r = np.asarray(r, dtype=float)
     x = r.copy() if start is None else np.asarray(start, dtype=float).copy()
     jump, diff = gamma * r, np.empty_like(x)
-    for _ in range(max_iters):
+    step, steps = np.inf, 0
+    while steps < max_iters:
         x_next = apply(x)
         x_next *= 1.0 - gamma
         x_next += jump
         step = reduce(np.abs(np.subtract(x_next, x, out=diff), out=diff))
         x = x_next
+        steps += 1
         if step <= tol:
-            return x
-    raise ConvergenceError(f"{side} fixed point not within {tol} after {max_iters} iterations")
+            break
+    if counts is not None:
+        counts["matvecs"] += steps
+    if step <= tol:
+        return x
+    raise ConvergenceError(
+        f"{side} fixed point not within {tol} after {max_iters} iterations (last step {step:.3e})"
+    )
 
 
 def pagerank(m: TransitionModel, gamma: float = DEFAULT_GAMMA, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -3,6 +3,7 @@
 import numpy as np
 
 from fairpr.graph import ColoredGraph, from_edges
+from fairpr.pagerank import TransitionModel
 
 
 def random_colored_graph(rng, n, avg_out=3.0, red_frac=0.3, sink_frac=0.0):
@@ -26,6 +27,15 @@ def random_colored_graph(rng, n, avg_out=3.0, red_frac=0.3, sink_frac=0.0):
     if not edges:
         edges.append((0, 1))
     return from_edges(n, sorted(set(edges)), red)
+
+
+def count_products(monkeypatch):
+    """A list that gains one entry per ``TransitionModel`` product from now on."""
+    calls = []
+    for name in ("apply_left", "apply_right"):
+        product = getattr(TransitionModel, name)
+        monkeypatch.setattr(TransitionModel, name, lambda self, v, f=product: calls.append(1) or f(self, v))
+    return calls
 
 
 def row_fair_matrix(rng, red, phi):

@@ -604,3 +604,23 @@ def test_meaningless_counts_and_empty_lists_exit_1(tmp_path, graph_files, capsys
     assert main([*argv, f"{option}={value}"]) == 1
     assert f"argument {option}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_fspr_and_lfpr_o_share_one_iteration_budget(tmp_path, graph_files, monkeypatch):
+    # both default to 5000 iterations; their work counts stay out of report.json
+    edges, colors, _ = graph_files
+    budgets = {}
+    for module, name, key in ((fairpr.fspr, "solve_fspr", "max_iters"), (fairpr.lfpr, "optimize_residuals", "iterations")):
+        solver = getattr(module, name)
+
+        def spy(*args, solver=solver, name=name, key=key, **kwargs):
+            budgets[name] = kwargs[key]
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    for algo in ("fspr", "lfpr-o"):
+        out = tmp_path / algo
+        argv = ["rank", "--edges", str(edges), "--colors", str(colors), "--algo", algo, "--phi", "0.35"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert "matvecs" not in json.loads((out / "report.json").read_text())
+    assert budgets == {"solve_fspr": 5000, "optimize_residuals": 5000}

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_colored_graph
+from conftest import count_products, random_colored_graph
 from fairpr.errors import InfeasibleError
 from fairpr.fspr import (
     Feasibility,
@@ -13,8 +13,18 @@ from fairpr.fspr import (
     solve_targeted_fspr,
     targeted_fspr_problem,
 )
-from fairpr.pagerank import dense_q, pagerank, solve_left, solve_right, standard_transition
+from fairpr.graph import from_edges
+from fairpr.pagerank import (
+    INNER_TOL,
+    dense_q,
+    pagerank,
+    red_absorption_vector,
+    solve_left,
+    solve_right,
+    standard_transition,
+)
 from fairpr.simplex import project_fair_simplex
+from fairpr.synth import SynthConfig, generate
 from oracles import fair_pagerank_from_jump, solve_fspr_dense, two_point_jump
 
 
@@ -253,3 +263,60 @@ def test_solution_counts_its_solves(targeted):
         assert sol.forward_solves == 1 + sol.iterations + sol.backtracks
         assert sol.adjoint_solves == 1 + sol.iterations
     assert sol.converged and sol.backtracks > 0
+
+
+def thinned_directed_graph(seed, n=1000):
+    """A generated graph (the benchmark's generator settings) with about a
+    quarter of its edges dropped and a tenth of its nodes made dangling."""
+    g = generate(SynthConfig(n, 0.3, 0.8, 0.5, seed=seed, edges_per_node=2))
+    rng = np.random.default_rng(seed)
+    src = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    keep = (rng.random(src.size) >= 0.25) & (rng.random(g.n) >= 0.1)[src]
+    return from_edges(g.n, list(zip(src[keep].tolist(), g.indices[keep].tolist())), g.red)
+
+
+def test_inexact_inner_solves_cut_the_products(monkeypatch):
+    # Five seeded n = 1000 directed problems at phi 0.3.  Solving every inner
+    # product to INNER_TOL took 27160 + 20056 + 19690 + 37187 + 22573 = 126666
+    # products; the count of one problem moves with its iteration path, so the
+    # ceiling is on the five together.
+    problems = []
+    for seed in range(1, 6):
+        g = thinned_directed_graph(seed)
+        problems.append(fspr_problem(standard_transition(g), g, 0.3))
+    calls = count_products(monkeypatch)
+    total = 0
+    for prob in problems:
+        sol = solve_fspr(prob)
+        assert sol.converged
+        total += sol.matvecs
+    assert total == len(calls)
+    assert total <= 0.6 * 126666
+
+
+@pytest.mark.parametrize("budget", [5000, 3])
+def test_returned_scores_are_solved_at_the_floor(budget):
+    # the loop's products are loose, the more so the earlier it stops; the
+    # returned scores and loss are not
+    g = thinned_directed_graph(3, n=300)
+    m = standard_transition(g)
+    prob = fspr_problem(m, g, 0.3)
+    sol = solve_fspr(prob, max_iters=budget)
+    assert sol.converged == (budget == 5000)
+    exact = solve_left(m, sol.x, prob.gamma, tol=INNER_TOL)
+    assert np.abs(sol.scores - exact).sum() <= 1e-12
+    assert sol.loss == float((sol.scores - prob.p_o) @ (sol.scores - prob.p_o))
+
+
+def test_solver_converges_when_the_loss_dwarfs_the_product_error():
+    # phi near the top of the attainable range, far above the original red
+    # share 0.295: the loss is 0.0204, so a loose product's loss error, not
+    # rounding, decides the line search and the restarts (23 iterations with
+    # every product solved to INNER_TOL)
+    g = random_colored_graph(np.random.default_rng(0), 30, sink_frac=0.1)
+    m = standard_transition(g)
+    q_r = red_absorption_vector(m, g)
+    assert pagerank(m) @ g.red < 0.3
+    sol = solve_fspr(fspr_problem(m, g, feasible_phi(q_r, 0.98)), tol=1e-10)
+    assert sol.converged and sol.iterations < 40
+    assert sol.loss > 0.02

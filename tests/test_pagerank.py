@@ -2,7 +2,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from conftest import random_colored_graph
+from conftest import count_products, random_colored_graph
 from fairpr.errors import ConvergenceError
 from fairpr.graph import from_edges
 from fairpr.pagerank import (
@@ -155,6 +155,33 @@ def test_power_iterate_raises_on_budget_exhaustion():
     m = standard_transition(g)
     with pytest.raises(ConvergenceError):
         power_iterate(m, np.array([0.7, 0.2, 0.1]), tol=1e-12, max_iters=2)
+
+
+def test_budget_exhaustion_names_the_last_step():
+    g = from_edges(3, [(0, 1), (1, 2), (2, 0)], [True, False, False])
+    m = standard_transition(g)
+    with pytest.raises(ConvergenceError, match=r"^left fixed point not within 1e-12 after 2 iterations "
+                                               r"\(last step \d\.\d{3}e-\d\d\)$"):
+        solve_left(m, np.array([0.7, 0.2, 0.1]), GAMMA, tol=1e-12, max_iters=2)
+    with pytest.raises(ConvergenceError, match=r"^right fixed point not within 1e-14 after 3 iterations "
+                                               r"\(last step \d\.\d{3}e-\d\d\)$"):
+        solve_right(m, np.array([1.0, 0.0, 0.0]), GAMMA, tol=1e-14, max_iters=3)
+
+
+@pytest.mark.parametrize("solve", [solve_left, solve_right])
+def test_solves_add_their_products_to_the_counts(monkeypatch, solve):
+    g = random_colored_graph(np.random.default_rng(14), 25, sink_frac=0.2)
+    m = standard_transition(g)
+    calls = count_products(monkeypatch)
+    v = np.random.default_rng(15).dirichlet(np.ones(g.n))
+    counts = {"matvecs": 5}
+    first = solve(m, v, GAMMA, tol=1e-13, counts=counts)
+    assert counts["matvecs"] == 5 + len(calls) and len(calls) > 10
+    solve(m, v, GAMMA, tol=1e-13, start=first, counts=counts)
+    assert counts["matvecs"] == 5 + len(calls)
+    with pytest.raises(ConvergenceError):
+        solve(m, v, GAMMA, tol=1e-13, max_iters=4, counts=counts)
+    assert counts["matvecs"] == 5 + len(calls)
 
 
 def test_check_distribution_accepts_valid():
