@@ -19,14 +19,46 @@ The targeted variant constrains the protected share of a target set S:
 ``w`` and ``B = [1; a]``; the optimized locally fair policy is the same QP
 with a shift, two other rows in ``B`` and the resolvent of another model,
 convex in the owed mass u, in which its KKT residual is then measured (see
-:func:`fairpr.lfpr.optimize_residuals`).  :func:`solve_fspr` solves them all.
+:func:`fairpr.lfpr.optimize_residuals`).  :func:`solve_fspr` solves them all,
+in two phases: a dual start that needs only products, then the loop that
+certifies it.
 
-It is an accelerated projected gradient (FISTA with backtracking and
-restart).  Gradients never materialize Q: the forward product
-``p = (u + w)' Q`` and the adjoint product ``Q (p - p_O)`` are each one
-linear fixed-point solve, warm-started across iterations.  Both are affine
-in u, so at the momentum point ``y = u_k + beta (u_k - u_{k-1})`` they are
-extrapolated from the two iterates with the same beta instead of solved.
+The dual start works in score space.  ``Q' = A^{-1}`` with
+``A = (I - (1 - gamma) P') / gamma``, so the scores ``p' = (u + w)' Q`` pay
+the mass ``u = A p - w``, one product, and the QP is the projection of
+``p_O`` onto ``{p : A p >= w, (B A) p = c + B w}``.  The dual of a
+projection needs no solve: with multipliers ``mu >= 0`` for ``A p >= w``,
+``p(mu) = p_O + A' mu + C' nu``, where ``C' = A' B'`` costs k products once
+and ``nu`` meets the equalities by a k x k solve.  The dual's gradient is
+``A p(mu) - w``, so a projected gradient step
+``mu <- max(0, y - (A p(y) - w) / L)`` costs one product each way.  It is
+FISTA (Beck & Teboulle, "A fast iterative shrinkage-thresholding algorithm
+for linear inverse problems", SIAM J. Imaging Sci. 2009) on the dual, as
+in Beck & Teboulle, "A fast dual proximal gradient algorithm for convex
+minimization and applications", Oper. Res. Lett. 2014, with the loop's
+gradient restart; ``L`` is a 20-step power
+estimate of the dual's Hessian ``A P A'`` (P the projector off the range of
+``C'``) times 1.2.  Since ``Q A' = I``, the gradient of the loss at the paid
+mass ``u = A p(mu) - w`` is ``2 (mu + B' nu)``, so every 10 steps the KKT
+residual of ``x = proj(u)`` is estimated from projections alone, as the
+larger of ``|u - proj(u - 2 (mu + B' nu))|`` and ``|x - u|``.  The phase
+stops at the first of: that estimate below ``tol / 10``; no halving of it in
+50 steps, a stall; ``max_iters`` steps.  It stalls near the ends of the
+attainable range, where the feasible set shrinks to a face; the loop then
+finishes in a few iterations.  It hands the loop its best checked point:
+``x``, the scores ``p(mu)`` to warm-start the forward solve and
+``mu + B' nu`` to warm-start the adjoint.  A projection that fails inside
+the phase, as one of a far-infeasible early point can, hands over the
+loop's own start instead.
+
+The loop is an accelerated projected gradient (FISTA with backtracking and
+restart) in u.  It leaves from the lower-loss one of the dual point and the
+problem's own start; lacking both, from the projected uniform vector.
+Gradients never materialize Q: the forward product ``p = (u + w)' Q`` and
+the adjoint product ``Q (p - p_O)`` are each one linear fixed-point solve,
+warm-started across iterations.  Both are affine in u, so at the momentum
+point ``y = u_k + beta (u_k - u_{k-1})`` they are extrapolated from the two
+iterates with the same beta instead of solved.
 An iteration thus costs one forward solve per line-search trial plus one
 adjoint solve, and the best point is always one whose products were
 solved.  Every projection is one :func:`fairpr.simplex.project_polyhedron`
@@ -62,7 +94,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InfeasibleError
+from .errors import ConvergenceError, InfeasibleError
 from .graph import ColoredGraph, _check_target_sets
 from .pagerank import (
     DEFAULT_GAMMA,
@@ -107,8 +139,7 @@ class FsprProblem:
     ``Q`` is the resolvent of ``model``.  A 1-D ``constraint`` is the ``a``
     of ``B = [1; a]``, ``c = (1, rhs)``: jump vectors with red mass ``u' q_r``.
     A 2-D one is ``B``, with ``c = rhs``.  ``start`` is a feasible first
-    iterate (by default the projection of the uniform vector), ``lipschitz``
-    the line search's first estimate of the gradient's Lipschitz constant.
+    iterate, which the solver weighs against its dual start.
     """
 
     model: TransitionModel
@@ -120,7 +151,6 @@ class FsprProblem:
     phi: float | None = None
     shift: np.ndarray | None = None
     start: np.ndarray | None = None
-    lipschitz: float = 1.0
 
 
 def fspr_problem(
@@ -158,8 +188,9 @@ def targeted_fspr_problem(
 class FsprSolution:
     """The best iterate, its diagnostics (``achieved_fairness`` needs a ``q_r``) and work.
 
-    ``forward_solves`` and ``adjoint_solves`` count the loop's solves,
-    ``matvecs`` every transition product, the final re-solve included.
+    ``dual_steps`` counts the steps of the dual start, ``forward_solves``
+    and ``adjoint_solves`` the loop's solves, ``matvecs`` every transition
+    product, the dual's and the final re-solve's included.
     """
 
     x: np.ndarray
@@ -174,21 +205,27 @@ class FsprSolution:
     adjoint_solves: int
     backtracks: int
     matvecs: int
+    dual_steps: int
 
 
-def _projection(problem: FsprProblem):
-    """A projection onto the feasible set, raising when a jump vector's is empty.
+def _rows(problem: FsprProblem) -> tuple[np.ndarray, np.ndarray]:
+    """``(B, c)`` of the feasible set, raising when a jump vector's is empty."""
+    b, rhs = problem.constraint, problem.rhs
+    if b.ndim == 2:
+        return b, rhs
+    if feasibility_check(b, rhs) is not Feasibility.FEASIBLE:
+        raise InfeasibleError(
+            f"no jump vector attains the target: need {rhs:.6g} "
+            f"within [{float(b.min()):.6g}, {float(b.max()):.6g}]"
+        )
+    return fair_rows(b, rhs)
+
+
+def _projection(b: np.ndarray, rhs: np.ndarray):
+    """A projection onto ``{x >= 0, B x = c}``.
 
     Each keeps its own warm start: the loop's steps and KKT tests lie apart.
     """
-    b, rhs = problem.constraint, problem.rhs
-    if b.ndim == 1:
-        if feasibility_check(b, rhs) is not Feasibility.FEASIBLE:
-            raise InfeasibleError(
-                f"no jump vector attains the target: need {rhs:.6g} "
-                f"within [{float(b.min()):.6g}, {float(b.max()):.6g}]"
-            )
-        b, rhs = fair_rows(b, rhs)
     lam = None  # the warm start: the last call's multipliers
 
     def project(z):
@@ -197,6 +234,81 @@ def _projection(problem: FsprProblem):
         return x
 
     return project
+
+
+def _dual_start(problem: FsprProblem, b, rhs, tol: float, max_steps: int, counts: dict):
+    """The dual start of the module docstring, in at most ``max_steps`` steps.
+
+    Returns ``(x, p, half)`` of its best checked point: the projection of the
+    paid mass ``u = A p - w``, the scores p and ``mu + B' nu``, half the
+    gradient at u; None if a projection fails.
+    """
+    model, gamma, p_o = problem.model, problem.gamma, problem.p_o
+    shift = np.zeros(model.n) if problem.shift is None else problem.shift
+    project, project_kkt = _projection(b, rhs), _projection(b, rhs)
+
+    def paid(p):
+        """``A p``, the jump under which p is the PageRank; one product."""
+        counts["matvecs"] += 1
+        return (p - (1.0 - gamma) * model.apply_left(p)) / gamma
+
+    def lifted(mu):
+        """``A' mu``; one product."""
+        counts["matvecs"] += 1
+        return (mu - (1.0 - gamma) * model.apply_right(mu)) / gamma
+
+    # The equalities read C p = B w + c with C' = A'B' = basis r: p(mu) is
+    # p_o + A'mu with its component in span(C') replaced by ``offset``.
+    basis, r = np.linalg.qr(np.column_stack([lifted(row) for row in b]))
+    level = np.linalg.solve(r.T, rhs + b @ shift)
+    offset = basis @ level
+
+    def scores(mu):
+        z = p_o + lifted(mu)
+        coef = basis.T @ z
+        return z - basis @ coef + offset, np.linalg.solve(r, level - coef)
+
+    # The dual's Hessian is A P A', P the projector off span(C'): a 20-step
+    # power estimate with a margin; a low one costs only a worse start.
+    # Where P A' v = 0 the equalities fix p, and any step length does.
+    v, lip = np.random.default_rng(0).standard_normal(model.n), 0.0
+    for _ in range(20):
+        lifted_v = lifted(v / np.linalg.norm(v))
+        v = paid(lifted_v - basis @ (basis.T @ lifted_v))
+        if not (lip := float(np.linalg.norm(v))):
+            break
+    lip = 1.2 * lip or 1.0
+
+    mu = y = np.zeros(model.n)
+    t_momentum, best, best_est, mark, mark_step = 1.0, None, np.inf, np.inf, 0
+    try:
+        for step in range(1, max_steps + 1):
+            counts["dual"] += 1
+            p, nu = scores(y)
+            u = paid(p) - shift  # the dual gradient at y
+            mu_new = np.maximum(y - u / lip, 0.0)
+            if step % 10 == 0 or step == max_steps:
+                half = y + nu @ b
+                x = project(u)
+                est = max(np.linalg.norm(x - u), np.linalg.norm(u - project_kkt(u - 2.0 * half)))
+                if est < best_est:
+                    best, best_est = (x, p, half), est
+                if best_est <= 0.1 * tol:
+                    break
+                if best_est <= 0.5 * mark:
+                    mark, mark_step = best_est, step
+                elif step - mark_step >= 50:
+                    break  # stalled: no halving in 50 steps
+            if (y - mu_new) @ (mu_new - mu) > 0.0:
+                y, t_momentum = mu_new, 1.0
+            else:
+                t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2))
+                y = mu_new + (t_momentum - 1.0) / t_next * (mu_new - mu)
+                t_momentum = t_next
+            mu = mu_new
+    except ConvergenceError:
+        return None
+    return best
 
 
 def solve_fspr(
@@ -208,16 +320,16 @@ def solve_fspr(
     met.  Stops when the unit-step projected-gradient residual
     ``|| u - proj(u - grad f(u)) ||_2`` drops below ``tol``; if the budget
     runs out first, the best iterate is returned flagged non-converged.
+    ``max_iters`` bounds the dual start's steps and the loop's iterations.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be a positive finite number, got {tol}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
-    if not (np.isfinite(problem.lipschitz) and problem.lipschitz > 0.0):
-        raise ValueError(f"lipschitz must be a positive finite number, got {problem.lipschitz}")
-    project, project_kkt = _projection(problem), _projection(problem)
+    b, rhs = _rows(problem)
+    project, project_kkt = _projection(b, rhs), _projection(b, rhs)
     model, gamma, p_o, shift = problem.model, problem.gamma, problem.p_o, problem.shift
-    counts = {"forward": 0, "adjoint": 0, "backtracks": 0, "matvecs": 0}
+    counts = {"forward": 0, "adjoint": 0, "backtracks": 0, "matvecs": 0, "dual": 0}
     spread = (1.0 - gamma) / gamma  # a solve stopped at step s is within s * spread
     inner = INNER_TOL  # until the first KKT residual is known
 
@@ -238,14 +350,23 @@ def solve_fspr(
     def kkt_of(point):
         return float(np.linalg.norm(point[0] - project_kkt(point[0] - point[2])))
 
-    x = project(np.full(model.n, 1.0 / model.n)) if problem.start is None else problem.start
-    counts["forward"] += 1
-    cur = solved(x, forward(x, None, inner), None)
+    # The loop leaves from the lower-loss one of the dual start and the
+    # problem's own start; lacking both, from the projected uniform vector.
+    dual = _dual_start(problem, b, rhs, tol, max_iters, counts)
+    starts = [] if dual is None else [dual]
+    if problem.start is not None:
+        starts.append((problem.start, None, None))
+    elif dual is None:
+        starts.append((project(np.full(model.n, 1.0 / model.n)), None, None))
+    counts["forward"] += len(starts)
+    starts = [(x, forward(x, p, inner), half) for x, p, half in starts]
+    x, p, half = min(starts, key=lambda start: float((start[1] - p_o) @ (start[1] - p_o)))
+    cur = solved(x, p, half)
     best, best_kkt = cur, kkt_of(cur)
     inner = max(INNER_TOL, INNER_THETA * best_kkt)
     y = cur  # momentum point, same layout; an extrapolated one has no loss
     t_momentum = 1.0
-    lip = problem.lipschitz
+    lip = 1.0
     iters_used = 0
     converged = False
 
@@ -318,6 +439,7 @@ def solve_fspr(
         adjoint_solves=counts["adjoint"],
         backtracks=counts["backtracks"],
         matvecs=counts["matvecs"],
+        dual_steps=counts["dual"],
     )
 
 

@@ -212,7 +212,8 @@ def lfpr_pagerank(
 @dataclass(frozen=True)
 class OptimizedSearchResult:
     """The optimized policy, its diagnostics, and its work (``evaluations``: forward solves;
-    ``matvecs``: transition products), each counting the problem's own solves too."""
+    ``matvecs``: transition products), each counting the problem's own solves too;
+    ``dual_steps`` as in :class:`fairpr.fspr.FsprSolution`."""
 
     policy: ResidualPolicy
     loss: float
@@ -223,6 +224,7 @@ class OptimizedSearchResult:
     adjoint_solves: int
     backtracks: int
     matvecs: int
+    dual_steps: int
 
 
 def _residual_problem(
@@ -246,18 +248,13 @@ def _residual_problem(
     q = np.vstack([solve_right(bare, d, gamma, tol=INNER_TOL, counts=counts) for d in owed])
 
     def policy_point(kind):
-        """``(loss, u, p)`` of a fixed policy, from one forward solve."""
+        """``(loss, u)`` of a fixed policy, from one forward solve."""
         x, y = _fixed_policy_vectors(kind, g.red, ~g.red, p_o)
         p = solve_left(split.model(x, y), jump, gamma, tol=INNER_TOL, counts=counts)
         paid = scale * (owed @ p)
-        return float((p - p_o) @ (p - p_o)), paid[0] * x + paid[1] * y, p
+        return float((p - p_o) @ (p - p_o)), paid[0] * x + paid[1] * y
 
     starts = [policy_point(kind) for kind in (PolicyKind.UNIFORM, PolicyKind.PROPORTIONAL)]
-    # The secant between the starts estimates the curvature 2 ||du' Q||^2 / ||du||^2;
-    # above the solver's default of 1 it is no better a guess.  Coinciding policies,
-    # whose u differ by rounding alone, give 0, which says nothing: 1 stands then too.
-    du = np.linalg.norm(starts[0][1] - starts[1][1])
-    curvature = 2.0 * (np.linalg.norm(starts[0][2] - starts[1][2]) / du) ** 2 if du > 0.0 else np.inf
     return FsprProblem(
         model=bare,
         gamma=gamma,
@@ -266,14 +263,14 @@ def _residual_problem(
         rhs=scale * (q @ jump),
         shift=jump,
         start=min(starts, key=lambda point: point[0])[1],
-        lipschitz=curvature if 0.0 < curvature < 1.0 else 1.0,
     )
 
 
 def _normalized(u: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``u`` on ``mask`` scaled to sum 1; uniform on ``mask`` where it sums to 0."""
+    """``u`` on ``mask`` scaled to sum 1; uniform on ``mask`` where its sum is
+    0 to rounding of u's total, as a projection leaves a group owed nothing."""
     part = np.where(mask, u, 0.0)
-    return part / part.sum() if part.sum() > 0.0 else mask / mask.sum()
+    return part / part.sum() if part.sum() > 1e-12 * u.sum() else mask / mask.sum()
 
 
 def optimize_residuals(
@@ -289,12 +286,12 @@ def optimize_residuals(
 
     ``||p(x, y) - p_o||^2`` is a convex quadratic in the owed mass ``u``
     that the policy pays out (see :func:`_residual_problem`), so
-    :func:`fairpr.fspr.solve_fspr` minimizes it, from the better of the
-    uniform and proportional policies, for at most ``iterations`` steps and
-    to a KKT residual of ``tol``, measured in u.  The policy is u
-    normalized per group: ``x = u_R / sum u_R``, uniform where a group is
-    owed nothing, and likewise y.  It is never worse than either fixed
-    policy.
+    :func:`fairpr.fspr.solve_fspr` minimizes it, from the better of its dual
+    start and the better of the uniform and proportional policies, for at
+    most ``iterations`` steps and to a KKT residual of ``tol``, measured in
+    u.  The policy is u normalized per group: ``x = u_R / sum u_R``, uniform
+    where a group is owed nothing, and likewise y.  It is never worse than
+    either fixed policy.
     """
     phi = _check_phi(phi)
     if iterations < 1:
@@ -313,6 +310,7 @@ def optimize_residuals(
         adjoint_solves=sol.adjoint_solves + 2,
         backtracks=sol.backtracks,
         matvecs=sol.matvecs + counts["matvecs"],
+        dual_steps=sol.dual_steps,
     )
 
 
