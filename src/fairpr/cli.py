@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, fspr, graph, lfpr, synth
+from . import analysis, fspr, graph, lfpr
 from .errors import FairprError, InfeasibleError
 from .pagerank import DEFAULT_GAMMA, pagerank, standard_transition, write_scores_csv
 
@@ -161,6 +161,7 @@ def _sweep_instances(args):
         return
     if args.grid_n is None:
         raise ValueError("sweep needs either --edges/--colors or a --grid-n synthetic grid")
+    from . import synth  # only generating commands pay for the generator's import
     cell = 0
     for r in args.grid_r:
         for a_red in args.grid_alpha_red:
@@ -251,6 +252,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from . import synth
     cfg = synth.SynthConfig(
         n=args.n,
         red_fraction=args.r,

@@ -1,10 +1,13 @@
-"""Test-only oracles: row checks of transition models, and dense solvers of the
-optimizers' QPs, exact but quadratic in memory."""
+"""Test-only oracles: row checks of transition models, dense solvers of the
+optimizers' QPs, exact but quadratic in memory, and the synthetic generator
+on the Generator's scalar draws."""
 
 import numpy as np
 
 from fairpr.errors import InfeasibleError
+from fairpr.graph import from_edges
 from fairpr.pagerank import DEFAULT_GAMMA, INNER_TOL, solve_left
+from fairpr.synth import _seed_colors, child_seed
 
 
 def row_sums(m) -> np.ndarray:
@@ -116,3 +119,38 @@ def solve_fspr_dense(q_matrix, p_o, a, rhs, shift=None, start=None, max_pivots=N
             x[blocker] = 0.0
             free[blocker] = False
     raise RuntimeError("active-set solve did not settle within the pivot budget")
+
+
+def generate_reference(cfg):
+    """``synth.generate`` with one scalar ``Generator`` call per draw and no
+    bound on the draws per edge: the graph the block-read stream must equal."""
+    for attempt in range(10):
+        rng = np.random.default_rng(child_seed(cfg.seed, attempt))
+        red = np.zeros(cfg.n, dtype=bool)
+        red[: cfg.n0] = _seed_colors(cfg.n0, cfg.red_fraction)
+
+        undirected = [(i, (i + 1) % cfg.n0) for i in range(cfg.n0)]
+        endpoints = [v for e in undirected for v in e]
+
+        for v in range(cfg.n0, cfg.n):
+            is_red = rng.random() < cfg.red_fraction
+            red[v] = is_red
+            alpha = cfg.alpha_red if is_red else cfg.alpha_blue
+            chosen: set[int] = set()
+            for _ in range(cfg.edges_per_node):
+                while True:
+                    u = endpoints[rng.integers(len(endpoints))]
+                    if u == v or u in chosen:
+                        continue
+                    accept = alpha if red[u] == is_red else 1.0 - alpha
+                    if rng.random() < accept:
+                        break
+                chosen.add(u)
+                undirected.append((v, u))
+                endpoints.append(v)
+                endpoints.append(u)
+
+        if red.any() and not red.all():
+            edges = [(a, b) for a, b in undirected] + [(b, a) for a, b in undirected]
+            return from_edges(cfg.n, edges, red)
+    raise RuntimeError("could not generate a graph with both color groups")

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -46,6 +47,34 @@ def test_generate_writes_all_artifacts(tmp_path):
     cells = manifest[1].split(",")
     assert cells[0] == "2" and cells[4] == "50"
     assert 0.0 < float(cells[5]) < 1.0
+
+
+def test_generate_bytes_are_pinned(tmp_path):
+    # the digests of the graph the generator has always grown from this seed and config
+    argv = ["generate", "--n", "2000", "--seed", "4242", "--r", "0.3", "--alpha-red", "0.8",
+            "--alpha-blue", "0.5", "--edges-per-node", "2", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("edges.tsv", "colors.tsv", "manifest.csv")
+    }
+    assert digests == {
+        "edges.tsv": "92cc57864bcce10df4212aa30ec14aa163cb1f9366c3ce114c08d0e33bbcb6c8",
+        "colors.tsv": "e037ff22d4f3b0c7da4755b2fd8cfa254be6ac61040bfd86cb5f895b54752bb8",
+        "manifest.csv": "2a162a430bf09084992fca50807df9b84ea0a35292ba4d7078925253bcce63cc",
+    }
+
+
+def test_generate_gives_up_on_a_homophily_too_close_to_zero(tmp_path):
+    # the seed ring is all red, and red accepts red with probability 1e-15
+    proc = _child_python(
+        "-m", "fairpr.cli", "generate", "--n", "20", "--r", "0.95", "--alpha-red", "1e-15",
+        "--alpha-blue", "0.5", "--seed", "1", "--out", str(tmp_path), timeout=20,
+    )
+    assert proc.returncode == 1
+    assert "node 10 drew 1000000 candidate endpoints" in proc.stderr
+    assert "alpha_red=1e-15 is too close to 0 or 1" in proc.stderr
+    assert not (tmp_path / "edges.tsv").exists()
 
 
 @pytest.mark.parametrize("algo", ["opr", "fspr", "lfpr-n", "lfpr-u", "lfpr-p"])
@@ -285,17 +314,26 @@ def test_sweep_requires_some_input(tmp_path):
     assert main(["sweep", "--phi", "0.3", "--out", str(tmp_path)]) == 1
 
 
-def _child_python(*args):
+def _child_python(*args, timeout=None):
     """Run Python in a child process that imports the package from this checkout's src/."""
     src = str(Path(fairpr.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def test_cli_import_leaves_scipy_unloaded():
     # importing scipy.sparse would be most of every command's start-up time
     proc = _child_python(
         "-c", "import sys, fairpr.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_the_generator_unloaded():
+    # only generate and sweep --grid-n import fairpr.synth, and with it logging
+    proc = _child_python(
+        "-c", "import sys, fairpr.cli; print([m for m in ('fairpr.synth', 'logging') if m in sys.modules])"
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
