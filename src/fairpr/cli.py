@@ -169,15 +169,12 @@ def _sweep_instances(args):
                 for s in range(args.grid_seeds):
                     seed = int(synth.child_seed(args.seed, cell).generate_state(1)[0])
                     cell += 1
-                    cfg = synth.SynthConfig(
-                        n=args.grid_n,
-                        red_fraction=r,
-                        alpha_red=a_red,
-                        alpha_blue=a_blue,
-                        seed=seed,
-                    )
                     name = f"synth-r{r}-aR{a_red}-aB{a_blue}-s{s}"
-                    yield name, synth.generate(cfg)
+                    try:
+                        g = synth.generate(synth.SynthConfig(args.grid_n, r, a_red, a_blue, seed=seed))
+                    except (ValueError, RuntimeError) as exc:
+                        g = exc
+                    yield name, g
 
 
 def cmd_sweep(args) -> int:
@@ -186,6 +183,9 @@ def cmd_sweep(args) -> int:
     ok_rows = 0
     infeasible_rows = 0
     for name, g in _sweep_instances(args):
+        if isinstance(g, Exception):  # a grid cell the generator rejected
+            rows += [[name, a, f"{p:.17g}", "", "", "", "error", str(g)] for a in args.algos for p in args.phis]
+            continue
         p_o = pagerank(standard_transition(g), gamma)
         bounds: dict[float, float] = {}  # phi -> lower bound, shared by every algorithm
         for algo in args.algos:

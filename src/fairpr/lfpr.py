@@ -3,8 +3,8 @@ r"""Locally fair transition models and their PageRank fixed points.
 Local fairness is a per-row property: every node hands a ``phi`` share of
 its outgoing probability to the red group and ``1 - phi`` to the blue
 group, and the jump vector is split the same way.  The resulting PageRank
-then gives the red group exactly ``phi`` mass, and this holds at every
-step of the power iteration, not just in the limit.
+then gives the red group exactly ``phi`` mass at every step of its solve,
+and the solve's extrapolation, an affine mix, keeps it to rounding.
 
 Each row is decomposed into a neutral part ``P_L`` (what the node can
 serve from its own out-neighbors without exceeding its group quota) plus

@@ -19,6 +19,13 @@ The central fixed point is
 with jump probability ``gamma`` and jump vector ``v``.  Writing
 ``Q = gamma [I - (1 - gamma) M]^{-1}``, the solution is ``p' = v' Q``; row
 ``i`` of ``Q`` is the personalized PageRank of node ``i``.
+
+Solves take plain steps ``x <- T(x)`` of this map and, after every ``CYCLE``
+of them, restart from the affine mix of the cycle's images whose residuals
+``T(x) - x`` mix to the least 2-norm (reduced-rank extrapolation, or restarted
+Anderson mixing): about half the products.  T contracts by ``1 - gamma``, so
+``|T(x) - x| <= tol`` bounds the error of ``T(x)`` by ``tol (1 - gamma) / gamma``
+for any x; the stop test is on the point whose image is returned.
 """
 
 from __future__ import annotations
@@ -39,6 +46,8 @@ INNER_TOL = 1e-13
 # Inside the optimizers' loop, forward and adjoint solves stop at
 # max(INNER_TOL, INNER_THETA * the KKT residual of the last solved iterate).
 INNER_THETA = 3e-5
+# Plain fixed-point steps between two extrapolations.
+CYCLE = 6
 DEFAULT_MAX_ITERS = 10_000
 
 
@@ -156,10 +165,10 @@ def power_iterate(
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> np.ndarray:
-    """Solve ``p' = (1 - gamma) p' M + gamma v'`` by power iteration.
+    """Solve ``p' = (1 - gamma) p' M + gamma v'`` for a distribution ``v``.
 
-    Stops when the L1 step (equal to the fixed-point residual of the
-    previous iterate) drops below ``tol``.  Deterministic for fixed inputs.
+    Stops when the L1 residual ``|T(x) - x|`` of the point whose image it
+    returns drops below ``tol``.  Deterministic for fixed inputs.
     """
     v = check_distribution(v)
     return solve_left(m, v, gamma, tol=tol, max_iters=max_iters)
@@ -186,9 +195,9 @@ def solve_left(m, v, gamma, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, start=
     The map is an L1 contraction with factor ``1 - gamma`` because M is
     row-stochastic, so this converges for any right-hand side, including
     the non-distribution vectors used inside gradient computations.  The
-    final L1 error is at most ``tol * (1 - gamma) / gamma``.  A ``counts``
-    mapping, if given, has its ``"matvecs"`` entry raised by the products
-    the solve spent.
+    final L1 error is at most ``tol * (1 - gamma) / gamma``, extrapolated or
+    not.  A ``counts`` mapping, if given, has its ``"matvecs"`` entry raised
+    by the products the solve spent.
     """
     return _fixed_point(m.apply_left, v, gamma, np.add.reduce, tol, max_iters, start, "left", counts)
 
@@ -203,7 +212,8 @@ def solve_right(m, r, gamma, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, start
 
 
 def _fixed_point(apply, r, gamma, reduce, tol, max_iters, start, side, counts):
-    """Iterate ``x <- (1 - gamma) apply(x) + gamma r`` until ``reduce(|step|) <= tol``.
+    """Step ``x <- T(x) = (1 - gamma) apply(x) + gamma r`` until ``reduce(|T(x) - x|) <= tol``,
+    restarting from the extrapolated point after every ``CYCLE`` steps (see the module docstring).
 
     ``reduce`` is ``np.add.reduce`` (L1) or ``np.maximum.reduce`` (max norm):
     the same bits as ``.sum()``/``.max()``, without ``np.sum``'s dispatch.
@@ -213,20 +223,30 @@ def _fixed_point(apply, r, gamma, reduce, tol, max_iters, start, side, counts):
     r = np.asarray(r, dtype=float)
     x = r.copy() if start is None else np.asarray(start, dtype=float).copy()
     jump, diff = gamma * r, np.empty_like(x)
+    images, residuals = np.empty((CYCLE, x.size)), np.empty((CYCLE, x.size))
     step, steps = np.inf, 0
     while steps < max_iters:
-        x_next = apply(x)
-        x_next *= 1.0 - gamma
+        x_next = np.multiply(apply(x), 1.0 - gamma, out=images[steps % CYCLE])
         x_next += jump
-        step = reduce(np.abs(np.subtract(x_next, x, out=diff), out=diff))
+        step = reduce(np.abs(np.subtract(x_next, x, out=residuals[steps % CYCLE]), out=diff))
         x = x_next
         steps += 1
         if step <= tol:
             break
+        if steps % CYCLE == 0:  # weights summing to 1 that mix the residuals to the least 2-norm
+            h = residuals @ residuals.T  # the Gram matrix of residual differences, from one pass
+            gram = h[:-1, :-1] - h[:-1, -1:] - h[-1:, :-1] + h[-1, -1]
+            gram += 1e-12 * gram.trace() * np.eye(CYCLE - 1)
+            try:
+                coef = np.linalg.solve(gram, h[-1, -1] - h[:-1, -1])
+            except np.linalg.LinAlgError:
+                continue
+            mix = np.append(coef, 1.0 - coef.sum()) @ images if np.isfinite(coef).all() else x
+            x = x if mix.min() < 0.0 <= x.min() else mix  # a nonnegative image mixes to a nonnegative x
     if counts is not None:
         counts["matvecs"] += steps
     if step <= tol:
-        return x
+        return x.copy()
     raise ConvergenceError(
         f"{side} fixed point not within {tol} after {max_iters} iterations (last step {step:.3e})"
     )

@@ -1,12 +1,12 @@
 """Test-only oracles: row checks of transition models, dense solvers of the
-optimizers' QPs, exact but quadratic in memory, and the synthetic generator
-on the Generator's scalar draws."""
+optimizers' QPs, exact but quadratic in memory, the plain fixed-point loop,
+and the synthetic generator on the Generator's scalar draws."""
 
 import numpy as np
 
-from fairpr.errors import InfeasibleError
+from fairpr.errors import ConvergenceError, InfeasibleError
 from fairpr.graph import from_edges
-from fairpr.pagerank import DEFAULT_GAMMA, INNER_TOL, solve_left
+from fairpr.pagerank import DEFAULT_GAMMA, INNER_TOL, _check_gamma, solve_left
 from fairpr.synth import _seed_colors, child_seed
 
 
@@ -58,6 +58,35 @@ def two_point_jump(values: np.ndarray, target: float) -> np.ndarray:
 def fair_pagerank_from_jump(model, x, gamma: float = DEFAULT_GAMMA, tol: float = INNER_TOL) -> np.ndarray:
     """Scores induced by jump vector ``x``: the product ``x' Q``."""
     return solve_left(model, np.asarray(x, dtype=float), gamma, tol=tol)
+
+
+def plain_fixed_point(apply, r, gamma, reduce, tol, max_iters, start, side, counts):
+    """Iterate ``x <- (1 - gamma) apply(x) + gamma r`` until ``reduce(|step|) <= tol``.
+
+    Power iteration with no extrapolation, the engine's arguments and stop
+    test: the reference for ``pagerank._fixed_point``.
+    """
+    gamma = _check_gamma(gamma)
+    r = np.asarray(r, dtype=float)
+    x = r.copy() if start is None else np.asarray(start, dtype=float).copy()
+    jump, diff = gamma * r, np.empty_like(x)
+    step, steps = np.inf, 0
+    while steps < max_iters:
+        x_next = apply(x)
+        x_next *= 1.0 - gamma
+        x_next += jump
+        step = reduce(np.abs(np.subtract(x_next, x, out=diff), out=diff))
+        x = x_next
+        steps += 1
+        if step <= tol:
+            break
+    if counts is not None:
+        counts["matvecs"] += steps
+    if step <= tol:
+        return x
+    raise ConvergenceError(
+        f"{side} fixed point not within {tol} after {max_iters} iterations (last step {step:.3e})"
+    )
 
 
 def solve_fspr_dense(q_matrix, p_o, a, rhs, shift=None, start=None, max_pivots=None) -> np.ndarray:

@@ -12,6 +12,7 @@ import pytest
 import fairpr
 from fairpr.cli import main
 from fairpr.graph import load_graph, save_graph
+from fairpr.pagerank import DEFAULT_GAMMA, standard_transition
 from fairpr.synth import SynthConfig, generate
 
 
@@ -61,8 +62,15 @@ def test_generate_bytes_are_pinned(tmp_path):
     assert digests == {
         "edges.tsv": "92cc57864bcce10df4212aa30ec14aa163cb1f9366c3ce114c08d0e33bbcb6c8",
         "colors.tsv": "e037ff22d4f3b0c7da4755b2fd8cfa254be6ac61040bfd86cb5f895b54752bb8",
-        "manifest.csv": "2a162a430bf09084992fca50807df9b84ea0a35292ba4d7078925253bcce63cc",
+        "manifest.csv": "7f8108ccfb2e30d2e7fac1ade48ac48ade8dcc0444720de3d1d4b79429261159",
     }
+    # the manifest's red_pagerank is a solver output at 17 digits, so its digest
+    # moves with the engine; hold its value to a dense solve on the same graph
+    g = load_graph(tmp_path / "edges.tsv", tmp_path / "colors.tsv")
+    a = np.eye(g.n) - (1.0 - DEFAULT_GAMMA) * standard_transition(g).to_dense()
+    dense = DEFAULT_GAMMA * np.linalg.solve(a.T, np.full(g.n, 1.0 / g.n))
+    red_pagerank = float((tmp_path / "manifest.csv").read_text().splitlines()[1].split(",")[5])
+    assert abs(red_pagerank - dense[g.red].sum()) <= 1e-12
 
 
 def test_generate_gives_up_on_a_homophily_too_close_to_zero(tmp_path):
@@ -294,6 +302,26 @@ def test_sweep_synthetic_grid(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4
     assert len({r["instance"] for r in rows}) == 4
+
+
+def test_sweep_writes_error_rows_for_a_grid_cell_the_generator_rejects(tmp_path):
+    # the second cell's red nodes accept red endpoints with probability 1e-15
+    rc = main(
+        [
+            "sweep", "--grid-n", "20", "--grid-r", "0.95", "--grid-alpha-red", "0.5,1e-15",
+            "--grid-alpha-blue", "0.5", "--phi", "0.3", "--algo", "lfpr-n", "--seed", "1",
+            "--out", str(tmp_path),
+        ]
+    )
+    assert rc == 0
+    with open(tmp_path / "sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["instance"], r["status"]) for r in rows] == [
+        ("synth-r0.95-aR0.5-aB0.5-s0", "ok"),
+        ("synth-r0.95-aR1e-15-aB0.5-s0", "error"),
+    ]
+    assert "alpha_red=1e-15 is too close to 0 or 1" in rows[1]["message"]
+    assert rows[1]["algorithm"] == "lfpr-n" and rows[1]["phi"] == rows[0]["phi"]
 
 
 def test_sweep_all_infeasible_exits_2(tmp_path, graph_files):

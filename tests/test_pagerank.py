@@ -1,11 +1,18 @@
+import warnings
+
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import count_products, random_colored_graph
 from fairpr.errors import ConvergenceError
 from fairpr.graph import from_edges
+from fairpr.lfpr import build_fair_jump, build_residual_model, lfpr_pagerank, make_policy
 from fairpr.pagerank import (
+    DEFAULT_TOL,
+    INNER_TOL,
     TransitionModel,
     absorption_vector,
     check_distribution,
@@ -19,7 +26,8 @@ from fairpr.pagerank import (
     solve_right,
     standard_transition,
 )
-from oracles import effective_row, row_sums, validate
+from fairpr.synth import SynthConfig, generate
+from oracles import effective_row, plain_fixed_point, row_sums, validate
 
 GAMMA = 0.15
 
@@ -262,3 +270,115 @@ def test_pagerank_agrees_with_networkx(gamma):
         p = pagerank(standard_transition(g), gamma, tol=1e-14)
         np.testing.assert_allclose(p, expected, rtol=0.0, atol=1e-9)
         assert np.abs(p - expected).sum() <= 1e-9
+
+
+# The extrapolating engine against the plain loop and the dense resolvent.
+
+SIDES = {
+    "left": (solve_left, "apply_left", np.add.reduce),
+    "right": (solve_right, "apply_right", np.maximum.reduce),
+}
+
+
+def _draw_vector(rng, n, kind):
+    if kind == "indicator":
+        return np.eye(n)[rng.integers(n)]
+    if kind == "distribution":
+        return rng.dirichlet(np.ones(n))
+    if kind == "nonnegative":
+        return rng.uniform(size=n) * (rng.uniform(size=n) < 0.5)
+    return rng.normal(size=n)
+
+
+@st.composite
+def fixed_point_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_colored_graph(rng, draw(st.integers(2, 60)), sink_frac=draw(st.sampled_from([0.1, 0.3])))
+    side = draw(st.sampled_from(sorted(SIDES)))
+    kind = draw(st.sampled_from(["indicator", "distribution", "nonnegative", "signed"]))
+    r = _draw_vector(rng, g.n, kind)
+    start = draw(st.sampled_from([None, "indicator" if kind == "distribution" else kind]))
+    if start is not None:
+        start = _draw_vector(rng, g.n, start)
+    tol = 10.0 ** -draw(st.floats(8.0, 14.0))
+    return standard_transition(g), side, kind, r, start, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(fixed_point_cases())
+def test_extrapolated_solves_keep_the_plain_loops_guarantees(case):
+    m, side, kind, r, start, tol = case
+    solve, apply, reduce = SIDES[side]
+    x = solve(m, r, GAMMA, tol=tol, start=start)
+    np.testing.assert_array_equal(x, solve(m, r, GAMMA, tol=tol, start=start))
+    q = dense_q(m)
+    exact = r @ q if side == "left" else q @ r
+    # the contraction bound, plus rounding of the products and of the dense inverse
+    assert reduce(np.abs(x - exact)) <= tol * (1.0 - GAMMA) / GAMMA + 1e-14 * reduce(np.abs(r)) * m.n
+    if kind != "signed":
+        assert x.min() >= 0.0
+    if kind != "signed" and start is None:
+        # Started at r, the plain loop's zeros are the nodes r's walks have
+        # not reached.  A start of other support can leave a zero that is
+        # only the parity of a cycle, which no mix of two parities keeps.
+        plain = plain_fixed_point(getattr(m, apply), r, GAMMA, reduce, tol, 10_000, None, side, None)
+        np.testing.assert_array_equal(x[plain == 0.0], 0.0)
+    if side == "left" and kind in ("indicator", "distribution"):
+        assert abs(x.sum() - 1.0) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 60),
+    phi=st.floats(0.05, 0.95),
+    policy=st.sampled_from(["neighborhood", "uniform"]),
+    warm=st.booleans(),
+    tol=st.floats(8.0, 14.0).map(lambda e: 10.0**-e),
+)
+def test_extrapolated_solves_keep_the_sum_and_the_red_share(seed, n, phi, policy, warm, tol):
+    # every row of a locally fair model sends phi to red, so every image of a
+    # distribution has red mass phi, and so has every affine mix of them
+    rng = np.random.default_rng(seed)
+    g = random_colored_graph(rng, n, sink_frac=0.2)
+    model = build_residual_model(g, phi, make_policy(policy, g))
+    start = rng.dirichlet(np.ones(n)) if warm else None
+    p = solve_left(model, build_fair_jump(g, phi), GAMMA, tol=tol, start=start)
+    assert abs(p.sum() - 1.0) <= 1e-12
+    assert abs(p[g.red].sum() - phi) <= 1e-12
+
+
+@pytest.mark.parametrize("side", sorted(SIDES))
+@pytest.mark.parametrize("scale, tol", [(0.0, 1e-12), (0.0, 1e-300), (1e-160, 1e-172), (1e-300, 1e-310)])
+def test_extrapolation_at_zero_and_underflow_warns_of_nothing(side, scale, tol):
+    # residuals this small square to zero or to subnormals in the Gram matrix
+    rng = np.random.default_rng(16)
+    m = standard_transition(random_colored_graph(rng, 40, sink_frac=0.2))
+    solve, _, reduce = SIDES[side]
+    r = scale * rng.dirichlet(np.ones(m.n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        x = solve(m, r, GAMMA, tol=tol, start=rng.dirichlet(np.ones(m.n)))
+    exact = r @ dense_q(m) if side == "left" else dense_q(m) @ r
+    assert x.min() >= 0.0
+    assert reduce(np.abs(x - exact)) <= tol * (1.0 - GAMMA) / GAMMA + 1e-14 * scale * m.n
+
+
+def test_extrapolation_needs_at_most_60_percent_of_the_plain_products(monkeypatch):
+    # plain loop / extrapolated: 73 / 34, 84 / 40 and 74 / 37 products
+    g = generate(SynthConfig(2000, 0.3, 0.8, 0.5, seed=4242, edges_per_node=2))
+    m, fair = standard_transition(g), build_residual_model(g, 0.3, make_policy("neighborhood", g))
+    uniform, red = np.full(g.n, 1.0 / g.n), g.red.astype(float)
+    solves = [
+        (lambda: pagerank(m), m.apply_left, uniform, np.add.reduce, DEFAULT_TOL),
+        (lambda: red_absorption_vector(m, g), m.apply_right, red, np.maximum.reduce, INNER_TOL),
+        (lambda: lfpr_pagerank(g, 0.3, make_policy("neighborhood", g)), fair.apply_left,
+         build_fair_jump(g, 0.3), np.add.reduce, DEFAULT_TOL),
+    ]
+    for solve, apply, r, reduce, tol in solves:
+        plain = {"matvecs": 0}
+        plain_fixed_point(apply, r, GAMMA, reduce, tol, 10_000, None, "", plain)
+        calls = count_products(monkeypatch)
+        solve()
+        assert 0 < len(calls) <= 0.6 * plain["matvecs"]
+        monkeypatch.undo()
