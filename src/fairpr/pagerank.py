@@ -246,7 +246,7 @@ def _fixed_point(apply, r, gamma, reduce, tol, max_iters, start, side, counts):
     if counts is not None:
         counts["matvecs"] += steps
     if step <= tol:
-        return x.copy()
+        return x.copy()  # not a view that keeps the cycle buffers alive
     raise ConvergenceError(
         f"{side} fixed point not within {tol} after {max_iters} iterations (last step {step:.3e})"
     )
