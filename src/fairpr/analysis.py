@@ -124,7 +124,8 @@ def personalized_audit(
     ``Q e_R`` (identical to running a personalized PageRank per node).
     ``sample`` picks which nodes are reported: ``None`` reports everything
     up to ``AUDIT_FULL_NODES`` nodes and a color-stratified sample beyond
-    that; an int requests that sample size; an array gives explicit ids.
+    that; an int requests that sample size, every node from ``n`` up; an
+    array gives explicit ids.
     ``phi = None`` audits against the graph's red node share.
     """
     phi = g.n_red / g.n if phi is None else _check_phi(phi)
@@ -132,8 +133,8 @@ def personalized_audit(
 
     if sample is None and g.n > AUDIT_FULL_NODES:
         sample = AUDIT_SAMPLE_SIZE
-    if sample is None:
-        nodes = np.arange(g.n)
+    if sample is None or (np.isscalar(sample) and sample >= g.n):
+        nodes = np.arange(g.n)  # every node: no draw, and no numpy.random import
     elif np.isscalar(sample):
         k = int(min(sample, g.n))
         rng = np.random.default_rng(seed)

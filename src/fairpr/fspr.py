@@ -26,65 +26,53 @@ certifies it.
 The dual start works in score space.  ``Q' = A^{-1}`` with
 ``A = (I - (1 - gamma) P') / gamma``, so the scores ``p' = (u + w)' Q`` pay
 the mass ``u = A p - w``, one product, and the QP is the projection of
-``p_O`` onto ``{p : A p >= w, (B A) p = c + B w}``.  The dual of a
-projection needs no solve: with multipliers ``mu >= 0`` for ``A p >= w``,
-``p(mu) = p_O + A' mu + C' nu``, where ``C' = A' B'`` costs k products once
-and ``nu`` meets the equalities by a k x k solve.  The dual's gradient is
-``A p(mu) - w``, so a projected gradient step
-``mu <- max(0, y - (A p(y) - w) / L)`` costs one product each way.  It is
-FISTA (Beck & Teboulle, "A fast iterative shrinkage-thresholding algorithm
-for linear inverse problems", SIAM J. Imaging Sci. 2009) on the dual, as
-in Beck & Teboulle, "A fast dual proximal gradient algorithm for convex
-minimization and applications", Oper. Res. Lett. 2014, with the loop's
-gradient restart; ``L`` is a 20-step power
-estimate of the dual's Hessian ``A P A'`` (P the projector off the range of
-``C'``) times 1.2.  Since ``Q A' = I``, the gradient of the loss at the paid
-mass ``u = A p(mu) - w`` is ``2 (mu + B' nu)``, so every 10 steps the KKT
-residual of ``x = proj(u)`` is estimated from projections alone, as the
-larger of ``|u - proj(u - 2 (mu + B' nu))|`` and ``|x - u|``.  The phase
-stops at the first of: that estimate below ``tol / 10``; no halving of it in
-50 steps, a stall; ``max_iters`` steps.  It stalls near the ends of the
-attainable range, where the feasible set shrinks to a face; the loop then
-finishes in a few iterations.  It hands the loop its best checked point:
-``x``, the scores ``p(mu)`` to warm-start the forward solve and
-``mu + B' nu`` to warm-start the adjoint.  A projection that fails inside
-the phase, as one of a far-infeasible early point can, hands over the
-loop's own start instead.
+``p_O`` onto ``{p : A p >= w, (B A) p = c + B w}``.  With multipliers
+``mu >= 0`` for ``A p >= w``, ``p(mu) = p_O + A' mu + C' nu``, where
+``C' = A' B'`` costs k products once and ``nu`` meets the equalities.  The
+dual, ``min_{mu >= 0} 1/2 mu' H mu + b' mu`` with ``H = A P A'`` (P the
+projector off the range of ``C'``) and gradient ``A p(mu) - w``, is solved
+by MPRGP (Dostal & Schoberl, "Minimizing quadratic functions subject to
+bound constraints with the rate of convergence and finite termination",
+Comput. Optim. Appl. 2005): conjugate gradient steps on the free set
+``mu > 0``, two products each; an expansion step, to the bound that blocks
+one and on by a projected step of ``1/L``; a proportioning step along the
+chopped gradient when that outweighs the free one.  ``p(mu)`` and the
+gradient follow by recurrence.  H vanishes on the range of ``B'``, so a
+direction with neither curvature nor a blocking bound takes the projected
+step.  ``L`` is 1.2 times a 20-step power estimate of ``|H|`` from a fixed
+vector: a random one would import ``numpy.random`` into every solve.
+
+Since ``Q A' = I``, the loss gradient at ``u = A p(mu) - w`` is
+``2 (mu + B' nu)``, so every 10 steps the KKT residual of ``x = proj(u)``
+is estimated from projections alone, as the larger of
+``|u - proj(u - 2 (mu + B' nu))|`` and ``|x - u|``.  The phase stops at the
+first of: that estimate below ``tol / 10``; a zero projected gradient, an
+exact dual optimum; no halving of the estimate in 50 steps, a stall, as
+near the ends of the attainable range, where the loop needs few
+iterations; ``max_iters`` steps.  It hands the loop its best checked point:
+``x``, its scores ``p(mu)`` and ``mu + B' nu`` to warm-start the forward
+and the adjoint solve.  A projection that fails in the phase, as one of a
+far-infeasible early point can, hands over the loop's own start.
 
 The loop is an accelerated projected gradient (FISTA with backtracking and
-restart) in u.  It leaves from the lower-loss one of the dual point and the
-problem's own start; lacking both, from the projected uniform vector.
-Gradients never materialize Q: the forward product ``p = (u + w)' Q`` and
-the adjoint product ``Q (p - p_O)`` are each one linear fixed-point solve,
-warm-started across iterations.  Both are affine in u, so at the momentum
-point ``y = u_k + beta (u_k - u_{k-1})`` they are extrapolated from the two
-iterates with the same beta instead of solved.
-An iteration thus costs one forward solve per line-search trial plus one
-adjoint solve, and the best point is always one whose products were
-solved.  Every projection is one :func:`fairpr.simplex.project_polyhedron`
-call, warm-started at the last multipliers; a jump vector's ``B = [1; a]``
-is built once, in the shifted form of :func:`fairpr.simplex.fair_rows`.
+restart) in u, from the lower-loss one of the dual point and the problem's
+own start, or else from the projected uniform vector.  The forward product
+``p = (u + w)' Q`` and the adjoint ``Q (p - p_O)`` are each one
+warm-started fixed-point solve; both are affine in u, so at the momentum
+point they are extrapolated from the two iterates instead.  Each
+projection is one warm-started :func:`fairpr.simplex.project_polyhedron`.
 
-The products are inexact, as accelerated methods allow when their error
-shrinks faster than the outer residual (Schmidt, Le Roux & Bach,
-"Convergence rates of inexact proximal-gradient methods for convex
-optimization", NeurIPS 2011): each forward and adjoint solve inside the
-loop stops at ``max(INNER_TOL, INNER_THETA * KKT)``, with the KKT residual
-of the last solved iterate.  A solve stopped at step ``s`` is within
-``s (1 - gamma) / gamma`` of its fixed point, in L1 for p, so its loss is
-within ``delta = 2 ||p - p_O||_inf s (1 - gamma) / gamma``, and an
-extrapolated point's error is at most three times the larger of its two
-iterates'.  The line search and the restart test treat the products as
-such a delta-oracle (Devolder, Glineur & Nesterov, "First-order methods of
-smooth convex optimization with inexact oracle", Math. Prog. 2014): a
-violation counts only beyond what the errors explain.  Because f is
-quadratic, the line search tests ``|p(x) - p(y)|^2 <= L/2 |x - y|^2``, the
-majorization with ``f(y)`` and the gradient term cancelled exactly: a
-difference of two loss values near 0.1 is all rounding once the steps are
-small, and so is a test on it.  The loop's products are only as exact as
-its last residual asked, so the returned scores are re-solved once at
-``INNER_TOL``, warm-started at their loose solve, and the loss is taken from
-them.
+The loop's products are inexact (Schmidt, Le Roux & Bach, "Convergence
+rates of inexact proximal-gradient methods for convex optimization",
+NeurIPS 2011): each solve stops at ``max(INNER_TOL, INNER_THETA * KKT)``
+with the KKT residual of the last solved iterate, and the step it stops at
+bounds its loss error.  The line search and the restart test count a
+violation only beyond such errors (Devolder, Glineur & Nesterov,
+"First-order methods of smooth convex optimization with inexact oracle",
+Math. Prog. 2014).  For quadratic f the line search tests
+``|p(x) - p(y)|^2 <= L/2 |x - y|^2``, the majorization with ``f(y)`` and
+the gradient term cancelled exactly: a difference of two losses near 0.1
+is all rounding.  The returned scores and loss are solved at ``INNER_TOL``.
 """
 
 from __future__ import annotations
@@ -139,7 +127,8 @@ class FsprProblem:
     ``Q`` is the resolvent of ``model``.  A 1-D ``constraint`` is the ``a``
     of ``B = [1; a]``, ``c = (1, rhs)``: jump vectors with red mass ``u' q_r``.
     A 2-D one is ``B``, with ``c = rhs``.  ``start`` is a feasible first
-    iterate, which the solver weighs against its dual start.
+    iterate, which the solver weighs against its dual start;
+    ``start_scores``, its scores if known, warm-start its forward solve.
     """
 
     model: TransitionModel
@@ -151,6 +140,7 @@ class FsprProblem:
     phi: float | None = None
     shift: np.ndarray | None = None
     start: np.ndarray | None = None
+    start_scores: np.ndarray | None = None
 
 
 def fspr_problem(
@@ -247,65 +237,77 @@ def _dual_start(problem: FsprProblem, b, rhs, tol: float, max_steps: int, counts
     shift = np.zeros(model.n) if problem.shift is None else problem.shift
     project, project_kkt = _projection(b, rhs), _projection(b, rhs)
 
-    def paid(p):
-        """``A p``, the jump under which p is the PageRank; one product."""
+    def through_a(v, apply=model.apply_left):
+        """``A v``, the jump under which scores v are the PageRank (``A' v`` by ``apply_right``); one product."""
         counts["matvecs"] += 1
-        return (p - (1.0 - gamma) * model.apply_left(p)) / gamma
-
-    def lifted(mu):
-        """``A' mu``; one product."""
-        counts["matvecs"] += 1
-        return (mu - (1.0 - gamma) * model.apply_right(mu)) / gamma
+        return (v - (1.0 - gamma) * apply(v)) / gamma
 
     # The equalities read C p = B w + c with C' = A'B' = basis r: p(mu) is
-    # p_o + A'mu with its component in span(C') replaced by ``offset``.
-    basis, r = np.linalg.qr(np.column_stack([lifted(row) for row in b]))
+    # z = p_o + A'mu with its component in span(C') replaced by ``offset``.
+    basis, r = np.linalg.qr(np.column_stack([through_a(row, model.apply_right) for row in b]))
     level = np.linalg.solve(r.T, rhs + b @ shift)
     offset = basis @ level
 
-    def scores(mu):
-        z = p_o + lifted(mu)
-        coef = basis.T @ z
-        return z - basis @ coef + offset, np.linalg.solve(r, level - coef)
+    def hessian(d):
+        """``(A'd, H d)``, H = A P A' with P the projector off span(C'); two products."""
+        lifted = through_a(d, model.apply_right)
+        return lifted, through_a(lifted - basis @ (basis.T @ lifted))
 
-    # The dual's Hessian is A P A', P the projector off span(C'): a 20-step
-    # power estimate with a margin; a low one costs only a worse start.
-    # Where P A' v = 0 the equalities fix p, and any step length does.
-    v, lip = np.random.default_rng(0).standard_normal(model.n), 0.0
+    def moved(d, alpha, image):
+        """``(mu, z, grad)`` after the step ``mu - alpha d``, ``image = hessian(d)``."""
+        return np.maximum(mu - alpha * d, 0.0), z - alpha * image[0], grad - alpha * image[1]
+
+    # L of the module docstring, from a fixed start vector, not a random one.
+    # Where P A' v = 0 the equalities fix p, and any L does.
+    v, lip = np.cos(np.arange(model.n) * 2.399963229728653), 0.0
     for _ in range(20):
-        lifted_v = lifted(v / np.linalg.norm(v))
-        v = paid(lifted_v - basis @ (basis.T @ lifted_v))
+        v = hessian(v / np.linalg.norm(v))[1]
         if not (lip := float(np.linalg.norm(v))):
             break
     lip = 1.2 * lip or 1.0
 
-    mu = y = np.zeros(model.n)
-    t_momentum, best, best_est, mark, mark_step = 1.0, None, np.inf, np.inf, 0
+    mu, z = np.zeros(model.n), p_o
+    grad = through_a(z - basis @ (basis.T @ z) + offset) - shift  # u = A p(mu) - w
+    direction, best, best_est, mark, mark_step = None, None, np.inf, np.inf, 0
     try:
         for step in range(1, max_steps + 1):
             counts["dual"] += 1
-            p, nu = scores(y)
-            u = paid(p) - shift  # the dual gradient at y
-            mu_new = np.maximum(y - u / lip, 0.0)
-            if step % 10 == 0 or step == max_steps:
-                half = y + nu @ b
-                x = project(u)
-                est = max(np.linalg.norm(x - u), np.linalg.norm(u - project_kkt(u - 2.0 * half)))
+            free = mu > 0.0
+            free_grad = np.where(free, grad, 0.0)
+            chopped = np.where(free, 0.0, np.minimum(grad, 0.0))
+            optimal = not (free_grad.any() or chopped.any())  # a zero projected gradient
+            if optimal or step % 10 == 0 or step == max_steps:
+                coef = basis.T @ z
+                p, half = z - basis @ coef + offset, mu + np.linalg.solve(r, level - coef) @ b
+                x = project(grad)
+                est = max(np.linalg.norm(x - grad), np.linalg.norm(grad - project_kkt(grad - 2.0 * half)))
                 if est < best_est:
                     best, best_est = (x, p, half), est
-                if best_est <= 0.1 * tol:
+                if optimal or best_est <= 0.1 * tol or step == max_steps:
                     break
                 if best_est <= 0.5 * mark:
                     mark, mark_step = best_est, step
                 elif step - mark_step >= 50:
                     break  # stalled: no halving in 50 steps
-            if (y - mu_new) @ (mu_new - mu) > 0.0:
-                y, t_momentum = mu_new, 1.0
-            else:
-                t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2))
-                y = mu_new + (t_momentum - 1.0) / t_next * (mu_new - mu)
-                t_momentum = t_next
-            mu = mu_new
+            # A conjugate gradient step on the free set, or a proportioning one along the
+            # chopped gradient where that outweighs the free one.
+            proportional = chopped @ chopped <= np.minimum(lip * mu, free_grad) @ free_grad
+            d = (free_grad if direction is None else direction) if proportional else chopped
+            image = hessian(d)
+            curv, blocking = d @ image[1], d > 0.0
+            feasible = float(np.min(mu[blocking] / d[blocking])) if blocking.any() else np.inf
+            if curv > 0.0 and (grad @ d) / curv <= feasible:
+                mu, z, grad = moved(d, (grad @ d) / curv, image)
+                free_grad = np.where(mu > 0.0, grad, 0.0)
+                direction = free_grad - (free_grad @ image[1]) / curv * d if proportional else None
+                continue
+            # Expansion: to the blocking bound, if any (H vanishes on span(B'), where a
+            # step without one would be 0/0), then a projected gradient step of 1/L.
+            if blocking.any():
+                mu, z, grad = moved(d, feasible, image)
+            d = mu - np.maximum(mu - np.where(mu > 0.0, grad, 0.0) / lip, 0.0)
+            mu, z, grad = moved(d, 1.0, hessian(d))
+            direction = None
     except ConvergenceError:
         return None
     return best
@@ -350,12 +352,10 @@ def solve_fspr(
     def kkt_of(point):
         return float(np.linalg.norm(point[0] - project_kkt(point[0] - point[2])))
 
-    # The loop leaves from the lower-loss one of the dual start and the
-    # problem's own start; lacking both, from the projected uniform vector.
     dual = _dual_start(problem, b, rhs, tol, max_iters, counts)
     starts = [] if dual is None else [dual]
     if problem.start is not None:
-        starts.append((problem.start, None, None))
+        starts.append((problem.start, problem.start_scores, None))
     elif dual is None:
         starts.append((project(np.full(model.n, 1.0 / model.n)), None, None))
     counts["forward"] += len(starts)
@@ -374,10 +374,8 @@ def solve_fspr(
         iters_used = k
         y_x, y_p, y_g, _, y_err = y
 
-        # Backtracking line search on the majorization at y; one forward solve a trial.
-        # f is quadratic, so f(x) <= f(y) + grad(y)'(x - y) + lip/2 |x - y|^2 says
-        # |p(x) - p(y)|^2 <= lip/2 |x - y|^2: no loss values, whose difference
-        # cancels, and a violation counts only beyond the products' errors.
+        # Backtracking line search on the majorization at y (module docstring);
+        # one forward solve a trial.
         p_new = y_p
         for _ in range(60):
             x_new = project(y_x - y_g / lip)
@@ -421,8 +419,7 @@ def solve_fspr(
             t_momentum = t_next
         lip = max(lip * 0.9, 1e-6)
 
-    # The loop's products are only as exact as its last KKT residual asked;
-    # the returned scores and loss are re-solved at the floor.
+    # The loop's products are only as exact as its last KKT residual asked.
     best_x = best[0]
     scores = forward(best_x, best[1], INNER_TOL)
     a, rhs = problem.constraint, problem.rhs

@@ -236,8 +236,8 @@ def _residual_problem(
     locally fair fixed point becomes ``p' = (u + v)' Q`` for the fair jump
     ``v`` and the resolvent ``Q`` of ``P_L`` alone.  Summing u over each group
     and writing ``p' delta = (u + v)' Q delta`` gives its two equalities.  It
-    starts at the better of the uniform and proportional policies.  Its four
-    solves add their products to ``counts["matvecs"]`` as in
+    starts at the better of the uniform and proportional policies, with its
+    scores.  Its four solves add their products to ``counts["matvecs"]`` as in
     :func:`fairpr.pagerank.solve_left`.
     """
     split = _split_rows(g, _everyone(g), g.red, phi, neighborhood=False)
@@ -248,13 +248,14 @@ def _residual_problem(
     q = np.vstack([solve_right(bare, d, gamma, tol=INNER_TOL, counts=counts) for d in owed])
 
     def policy_point(kind):
-        """``(loss, u)`` of a fixed policy, from one forward solve."""
+        """``(loss, u, p)`` of a fixed policy, from one forward solve."""
         x, y = _fixed_policy_vectors(kind, g.red, ~g.red, p_o)
         p = solve_left(split.model(x, y), jump, gamma, tol=INNER_TOL, counts=counts)
         paid = scale * (owed @ p)
-        return float((p - p_o) @ (p - p_o)), paid[0] * x + paid[1] * y
+        return float((p - p_o) @ (p - p_o)), paid[0] * x + paid[1] * y, p
 
     starts = [policy_point(kind) for kind in (PolicyKind.UNIFORM, PolicyKind.PROPORTIONAL)]
+    _, start, start_scores = min(starts, key=lambda point: point[0])
     return FsprProblem(
         model=bare,
         gamma=gamma,
@@ -262,7 +263,8 @@ def _residual_problem(
         constraint=np.vstack([g.red, ~g.red]) - scale * q,
         rhs=scale * (q @ jump),
         shift=jump,
-        start=min(starts, key=lambda point: point[0])[1],
+        start=start,
+        start_scores=start_scores,
     )
 
 
