@@ -77,7 +77,7 @@ def _fair_projection(p_o, s_mask, sr_mask, phi) -> np.ndarray:
 
 def converse_check(m: TransitionModel, g: ColoredGraph, phi: float, tol: float = 1e-9) -> bool:
     """True iff every row sends a ``phi`` share of its mass to red."""
-    return bool(np.abs(m.row_masses(g.red) - phi).max() <= tol)
+    return bool(np.abs(m.apply_right(g.red.astype(float)) - phi).max() <= tol)
 
 
 @dataclass(frozen=True)

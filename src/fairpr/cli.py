@@ -318,13 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, graph="required"):
-        """Flags every subcommand shares; ``graph`` is "required", "optional" or None."""
-        if graph is not None:
-            p.add_argument("--edges", required=graph == "required", help="edge TSV: src<TAB>dst")
-            p.add_argument("--colors", required=graph == "required",
-                           help="color TSV: node<TAB>{0|1}, 1 = red")
+        """Flags of every subcommand, plus, unless ``graph`` is None (generate), the graph
+        files ("required" or "optional") and the solver's ``--tol`` and ``--iters``."""
         p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
         p.add_argument("--out", default=".", help="output directory")
+        if graph is None:
+            return
+        p.add_argument("--edges", required=graph == "required", help="edge TSV: src<TAB>dst")
+        p.add_argument("--colors", required=graph == "required", help="color TSV: node<TAB>{0|1}, 1 = red")
         p.add_argument("--tol", type=_tolerance, default=1e-8, help="solver tolerance")
         p.add_argument("--iters", type=_count("iters"), default=5000,
                        help="iteration budget of the fspr and lfpr-o solvers")

@@ -37,10 +37,10 @@ Comput. Optim. Appl. 2005): conjugate gradient steps on the free set
 ``mu > 0``, two products each; an expansion step, to the bound that blocks
 one and on by a projected step of ``1/L``; a proportioning step along the
 chopped gradient when that outweighs the free one.  ``p(mu)`` and the
-gradient follow by recurrence.  H vanishes on the range of ``B'``, so a
-direction with neither curvature nor a blocking bound takes the projected
-step.  ``L`` is 1.2 times a 20-step power estimate of ``|H|`` from a fixed
-vector: a random one would import ``numpy.random`` into every solve.
+gradient follow by recurrence.  ``L`` is 1.2 times the largest curvature
+``d'Hd / d'd`` of the directions stepped along, 1.0 until one has any: H
+vanishes on the range of ``B'``, so a direction with neither curvature nor
+a blocking bound takes the projected step.
 
 Since ``Q A' = I``, the loss gradient at ``u = A p(mu) - w`` is
 ``2 (mu + B' nu)``, so every 10 steps the KKT residual of ``x = proj(u)``
@@ -257,16 +257,7 @@ def _dual_start(problem: FsprProblem, b, rhs, tol: float, max_steps: int, counts
         """``(mu, z, grad)`` after the step ``mu - alpha d``, ``image = hessian(d)``."""
         return np.maximum(mu - alpha * d, 0.0), z - alpha * image[0], grad - alpha * image[1]
 
-    # L of the module docstring, from a fixed start vector, not a random one.
-    # Where P A' v = 0 the equalities fix p, and any L does.
-    v, lip = np.cos(np.arange(model.n) * 2.399963229728653), 0.0
-    for _ in range(20):
-        v = hessian(v / np.linalg.norm(v))[1]
-        if not (lip := float(np.linalg.norm(v))):
-            break
-    lip = 1.2 * lip or 1.0
-
-    mu, z = np.zeros(model.n), p_o
+    mu, z, top, lip = np.zeros(model.n), p_o, 0.0, 1.0  # top: the largest d'Hd / d'd stepped along
     grad = through_a(z - basis @ (basis.T @ z) + offset) - shift  # u = A p(mu) - w
     direction, best, best_est, mark, mark_step = None, None, np.inf, np.inf, 0
     try:
@@ -295,6 +286,9 @@ def _dual_start(problem: FsprProblem, b, rhs, tol: float, max_steps: int, counts
             d = (free_grad if direction is None else direction) if proportional else chopped
             image = hessian(d)
             curv, blocking = d @ image[1], d > 0.0
+            if curv > 0.0:  # L of the module docstring; 1.0 until a direction has curvature
+                top = max(top, curv / (d @ d))
+                lip = 1.2 * top
             feasible = float(np.min(mu[blocking] / d[blocking])) if blocking.any() else np.inf
             if curv > 0.0 and (grad @ d) / curv <= feasible:
                 mu, z, grad = moved(d, (grad @ d) / curv, image)

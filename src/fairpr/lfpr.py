@@ -41,8 +41,8 @@ from .pagerank import (
     SparseRows,
     TransitionModel,
     _check_phi,
+    check_distribution,
     pagerank,
-    power_iterate,
     solve_left,
     solve_right,
     standard_transition,
@@ -105,16 +105,6 @@ def build_fair_jump(g: ColoredGraph, phi: float) -> np.ndarray:
 
 def _everyone(g: ColoredGraph) -> np.ndarray:
     return np.ones(g.n, dtype=bool)
-
-
-def build_neighborhood_model(g: ColoredGraph, phi: float) -> TransitionModel:
-    """Locally fair transitions that stay on each node's own neighbors.
-
-    Row ``i`` spends ``phi`` uniformly over its red out-neighbors and
-    ``1 - phi`` over its blue ones.  A node missing one side (including
-    every sink) spreads that share uniformly over the whole group.
-    """
-    return build_targeted_model(g, _everyone(g), g.red, phi, PolicyKind.NEIGHBORHOOD)
 
 
 @dataclass(frozen=True)
@@ -187,9 +177,15 @@ def make_policy(
 
 
 def build_residual_model(g: ColoredGraph, phi: float, policy: ResidualPolicy) -> TransitionModel:
-    """Locally fair transition model ``P_L + delta_R x' + delta_B y'``."""
+    """Locally fair transition model ``P_L + delta_R x' + delta_B y'``.
+
+    The neighborhood kind has no x and y; it is the targeted model at S = all
+    nodes: row ``i`` spends ``phi`` uniformly over its red out-neighbors and
+    ``1 - phi`` over its blue ones, and a node missing one side (every sink)
+    spreads that share uniformly over the whole group.
+    """
     if policy.kind is PolicyKind.NEIGHBORHOOD:
-        return build_neighborhood_model(g, phi)
+        return build_targeted_model(g, _everyone(g), g.red, phi, policy.kind)
     if policy.x is None or policy.y is None:
         raise ValueError(f"{policy.kind.value} policy is missing its x/y vectors")
     split = _split_rows(g, _everyone(g), g.red, _check_phi(phi), neighborhood=False)
@@ -206,7 +202,7 @@ def lfpr_pagerank(
     """PageRank of the locally fair model under the group-split jump."""
     model = build_residual_model(g, phi, policy)
     v = build_fair_jump(g, phi)
-    return power_iterate(model, v, gamma, tol=tol)
+    return solve_left(model, check_distribution(v), gamma, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -456,7 +452,7 @@ def targeted_lfpr(
         p_o = pagerank(standard_transition(g), gamma, tol=tol)
     model = build_targeted_model(g, s_mask, sr_mask, phi, kind, p_o=p_o)
     v = targeted_jump(g, s_mask, sr_mask, phi)
-    p = power_iterate(model, v, gamma, tol=tol)
+    p = solve_left(model, check_distribution(v), gamma, tol=tol)
     if p[s_mask].sum() <= 0.0:
         raise DegenerateTargetError("target set receives no mass")
     return p

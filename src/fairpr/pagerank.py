@@ -116,10 +116,6 @@ class TransitionModel:
             out = out + (target @ q) * delta
         return out
 
-    def row_masses(self, mask: np.ndarray) -> np.ndarray:
-        """Per-row mass sent into the node set ``mask`` (boolean or weights)."""
-        return self.apply_right(np.asarray(mask, dtype=float))
-
     def to_dense(self) -> np.ndarray:
         dense = self.base.to_dense()
         for delta, target in self.residuals:
@@ -156,22 +152,6 @@ def check_distribution(v: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     if abs(v.sum() - 1.0) > tol:
         raise ValueError(f"probability vector sums to {v.sum():.12f}, not 1")
     return v
-
-
-def power_iterate(
-    m: TransitionModel,
-    v: np.ndarray,
-    gamma: float = DEFAULT_GAMMA,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-) -> np.ndarray:
-    """Solve ``p' = (1 - gamma) p' M + gamma v'`` for a distribution ``v``.
-
-    Stops when the L1 residual ``|T(x) - x|`` of the point whose image it
-    returns drops below ``tol``.  Deterministic for fixed inputs.
-    """
-    v = check_distribution(v)
-    return solve_left(m, v, gamma, tol=tol, max_iters=max_iters)
 
 
 def _check_gamma(gamma: float) -> float:
@@ -255,7 +235,7 @@ def _fixed_point(apply, r, gamma, reduce, tol, max_iters, start, side, counts):
 def pagerank(m: TransitionModel, gamma: float = DEFAULT_GAMMA, tol: float = DEFAULT_TOL) -> np.ndarray:
     """PageRank with the uniform jump vector."""
     v = np.full(m.n, 1.0 / m.n)
-    return power_iterate(m, v, gamma, tol=tol)
+    return solve_left(m, check_distribution(v), gamma, tol=tol)
 
 
 def personalized_pagerank(
@@ -264,7 +244,7 @@ def personalized_pagerank(
     """PageRank personalized to node ``i`` (jump vector = indicator of i)."""
     v = np.zeros(m.n)
     v[i] = 1.0
-    return power_iterate(m, v, gamma, tol=tol)
+    return solve_left(m, check_distribution(v), gamma, tol=tol)
 
 
 def absorption_vector(m: TransitionModel, mask: np.ndarray, gamma: float = DEFAULT_GAMMA) -> np.ndarray:

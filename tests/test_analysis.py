@@ -234,6 +234,8 @@ def test_targeted_lower_bound_sits_below_every_targeted_loss():
 )
 # lfpr-o where the uniform and proportional policies coincide (equal red p_o)
 @example(seed=545203649, n=4, red_frac=0.75, sink_frac=0.3, phi=0.75)
+# the fspr dual steps along a zero direction (d'd = 0), which has no curvature to measure
+@example(seed=71590, n=4, red_frac=0.5, sink_frac=0.0, phi=0.3828125)
 def test_lower_bound_sits_below_the_loss_of_every_algorithm(seed, n, red_frac, sink_frac, phi):
     # small random graphs with sinks; fspr only where phi is attainable
     g = random_colored_graph(np.random.default_rng(seed), n, red_frac=red_frac, sink_frac=sink_frac)

@@ -503,13 +503,15 @@ def test_meaningless_tolerance_is_rejected_by_every_subcommand(tmp_path, graph_f
         ["rank", *graph, "--algo", "lfpr-u", "--phi", "0.3"],
         ["sweep", *graph, "--phi", "0.3", "--algo", "fspr,lfpr-u"],
         ["audit", *graph, "--algo", "opr"],
-        ["generate", "--n", "30", "--r", "0.3", "--alpha-red", "0.5", "--alpha-blue", "0.5",
-         f"--tol={tol}", "--out", str(tmp_path)],
     ):
         capsys.readouterr()
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert "--tol" in err and "tol must be a positive finite number" in err
+    # generate solves nothing, so it takes no --tol at all
+    argv = ["generate", "--n", "30", "--r", "0.3", "--alpha-red", "0.5", "--alpha-blue", "0.5"]
+    assert main([*argv, f"--tol={tol}", "--out", str(tmp_path)]) == 1
+    assert f"unrecognized arguments: --tol={tol}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -558,12 +560,13 @@ def test_meaningless_iteration_budget_is_rejected_by_every_subcommand(tmp_path, 
         ["rank", *graph, "--algo", "lfpr-o", "--phi", "0.35"],
         ["sweep", *graph, "--phi", "0.3", "--algo", "fspr,lfpr-o"],
         ["audit", *graph, "--algo", "lfpr-o", "--phi", "0.3"],
-        ["generate", "--n", "30", "--r", "0.3", "--alpha-red", "0.5", "--alpha-blue", "0.5",
-         "--iters", iters, "--out", str(tmp_path)],
     ):
         capsys.readouterr()
         assert main(argv) == 1
         assert f"argument --iters: iters must be a positive integer, got {iters}" in capsys.readouterr().err
+    argv = ["generate", "--n", "30", "--r", "0.3", "--alpha-red", "0.5", "--alpha-blue", "0.5"]
+    assert main([*argv, "--iters", iters, "--out", str(tmp_path)]) == 1
+    assert f"unrecognized arguments: --iters {iters}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -11,7 +11,6 @@ from fairpr.lfpr import (
     _residual_problem,
     _split_rows,
     build_fair_jump,
-    build_neighborhood_model,
     build_residual_model,
     build_targeted_model,
     lfpr_pagerank,
@@ -21,7 +20,7 @@ from fairpr.lfpr import (
     targeted_jump,
     targeted_lfpr,
 )
-from fairpr.pagerank import dense_q, pagerank, power_iterate, solve_left, solve_right, standard_transition
+from fairpr.pagerank import dense_q, pagerank, solve_left, solve_right, standard_transition
 from fairpr.synth import SynthConfig, generate
 from oracles import row_sums, solve_fspr_dense, validate
 
@@ -86,7 +85,7 @@ def test_neighborhood_model_equals_decomposition_route():
     rng = np.random.default_rng(2)
     g = random_colored_graph(rng, 30)
     phi = 0.4
-    dense = build_neighborhood_model(g, phi).to_dense()
+    dense = build_residual_model(g, phi, make_policy(PolicyKind.NEIGHBORHOOD, g)).to_dense()
     dec = residual_decompose(g, phi)
     alt = dec.base.to_dense()
     for i in range(g.n):
@@ -109,7 +108,7 @@ def test_every_row_is_phi_fair(kind):
         p_o = pagerank(standard_transition(g))
         model = build_residual_model(g, phi, make_policy(kind, g, p_o=p_o))
         validate(model)
-        np.testing.assert_allclose(model.row_masses(g.red), phi, atol=1e-12)
+        np.testing.assert_allclose(model.apply_right(g.red.astype(float)), phi, atol=1e-12)
         np.testing.assert_allclose(row_sums(model), 1.0, atol=1e-12)
 
 
@@ -135,7 +134,7 @@ def test_lfpr_matches_dense_fixed_point():
     gamma = 0.15
     a = np.eye(g.n) - (1.0 - gamma) * model.to_dense()
     expected = gamma * np.linalg.solve(a.T, v)
-    np.testing.assert_allclose(power_iterate(model, v), expected, atol=1e-11)
+    np.testing.assert_allclose(solve_left(model, v, gamma), expected, atol=1e-11)
 
 
 def test_make_policy_validation():
@@ -347,8 +346,8 @@ def test_targeted_model_rows_split_target_mass():
     sr_mask = np.isin(np.arange(g.n), s_r)
     model = build_targeted_model(g, s_mask, sr_mask, phi, "uniform")
     validate(model)
-    in_s = model.row_masses(s_mask)
-    in_sr = model.row_masses(sr_mask)
+    in_s = model.apply_right(s_mask.astype(float))
+    in_sr = model.apply_right(sr_mask.astype(float))
     np.testing.assert_allclose(in_sr, phi * in_s, atol=1e-13)
     # rows keep their out-of-target entries from the standard walk
     std = standard_transition(g).to_dense()
@@ -406,22 +405,19 @@ def test_global_builders_are_the_targeted_builder_at_s_all():
         for kind in KINDS:
             targeted = build_targeted_model(g, everyone, g.red, phi, kind, p_o=p_o)
             policy = make_policy(kind, g, p_o=p_o)
-            models = [build_residual_model(g, phi, policy)]
-            if kind is PolicyKind.NEIGHBORHOOD:
-                models.append(build_neighborhood_model(g, phi))
-            else:
+            model = build_residual_model(g, phi, policy)
+            if kind is not PolicyKind.NEIGHBORHOOD:
                 np.testing.assert_array_equal(dec.base.data, targeted.base.data)
-            for model in models:
-                np.testing.assert_array_equal(model.base.data, targeted.base.data)
-                np.testing.assert_array_equal(model.base.indices, targeted.base.indices)
-                np.testing.assert_array_equal(model.base.indptr, targeted.base.indptr)
-                assert len(model.residuals) == len(targeted.residuals)
-                for (d_a, t_a), (d_b, t_b) in zip(model.residuals, targeted.residuals):
-                    np.testing.assert_array_equal(d_a, d_b)
-                    np.testing.assert_array_equal(t_a, t_b)
+            np.testing.assert_array_equal(model.base.data, targeted.base.data)
+            np.testing.assert_array_equal(model.base.indices, targeted.base.indices)
+            np.testing.assert_array_equal(model.base.indptr, targeted.base.indptr)
+            assert len(model.residuals) == len(targeted.residuals)
+            for (d_a, t_a), (d_b, t_b) in zip(model.residuals, targeted.residuals):
+                np.testing.assert_array_equal(d_a, d_b)
+                np.testing.assert_array_equal(t_a, t_b)
             np.testing.assert_array_equal(
                 lfpr_pagerank(g, phi, policy),
-                power_iterate(targeted, build_fair_jump(g, phi)),
+                solve_left(targeted, build_fair_jump(g, phi), 0.15),
             )
 
 
@@ -450,7 +446,8 @@ def test_row_split_is_targeted_fair_and_leaves_the_rest_alone(case):
     model = build_targeted_model(g, s_mask, sr_mask, phi, kind, p_o=p_o)
     validate(model)
     np.testing.assert_allclose(
-        model.row_masses(sr_mask), phi * model.row_masses(s_mask), rtol=0.0, atol=1e-12
+        model.apply_right(sr_mask.astype(float)), phi * model.apply_right(s_mask.astype(float)),
+        rtol=0.0, atol=1e-12,
     )
     nonsink = ~g.sinks
     dense = model.to_dense()[nonsink][:, ~s_mask]

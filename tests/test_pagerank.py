@@ -20,7 +20,6 @@ from fairpr.pagerank import (
     from_dense,
     pagerank,
     personalized_pagerank,
-    power_iterate,
     red_absorption_vector,
     solve_left,
     solve_right,
@@ -58,7 +57,6 @@ def test_transition_model_products_match_dense():
     q = rng.uniform(size=g.n)
     np.testing.assert_allclose(m.apply_left(p), p @ dense, atol=1e-14)
     np.testing.assert_allclose(m.apply_right(q), dense @ q, atol=1e-14)
-    np.testing.assert_allclose(m.row_masses(g.red), dense[:, g.red].sum(axis=1), atol=1e-14)
     for i in (0, g.n - 1):
         np.testing.assert_allclose(effective_row(m, i), dense[i], atol=1e-15)
 
@@ -147,24 +145,6 @@ def test_solver_warm_start_changes_nothing():
     np.testing.assert_allclose(cold_r, warm_r, atol=1e-13)
 
 
-def test_power_iterate_validates_jump_vector():
-    g = from_edges(3, [(0, 1), (1, 2), (2, 0)], [True, False, False])
-    m = standard_transition(g)
-    with pytest.raises(ValueError):
-        power_iterate(m, np.array([0.5, 0.5, 0.5]))
-    with pytest.raises(ValueError):
-        power_iterate(m, np.array([1.5, -0.5, 0.0]))
-    with pytest.raises(ValueError):
-        power_iterate(m, np.eye(3))
-
-
-def test_power_iterate_raises_on_budget_exhaustion():
-    g = from_edges(3, [(0, 1), (1, 2), (2, 0)], [True, False, False])
-    m = standard_transition(g)
-    with pytest.raises(ConvergenceError):
-        power_iterate(m, np.array([0.7, 0.2, 0.1]), tol=1e-12, max_iters=2)
-
-
 def test_budget_exhaustion_names_the_last_step():
     g = from_edges(3, [(0, 1), (1, 2), (2, 0)], [True, False, False])
     m = standard_transition(g)
@@ -195,6 +175,15 @@ def test_solves_add_their_products_to_the_counts(monkeypatch, solve):
 def test_check_distribution_accepts_valid():
     v = check_distribution(np.array([0.25, 0.75]))
     assert v.dtype == float
+
+
+def test_check_distribution_rejects_bad_jump_vectors():
+    with pytest.raises(ValueError, match="sums to"):
+        check_distribution(np.array([0.5, 0.5, 0.5]))
+    with pytest.raises(ValueError, match="negative"):
+        check_distribution(np.array([1.5, -0.5, 0.0]))
+    with pytest.raises(ValueError, match="1-D"):
+        check_distribution(np.eye(3))
 
 
 def test_dense_q_rows_are_personalized_distributions():
@@ -229,7 +218,7 @@ def test_rank_one_residual_model_matches_dense():
     dense = m.to_dense()
     v = rng.dirichlet(np.ones(n))
     np.testing.assert_allclose(pagerank(m), dense_pagerank(from_dense(dense), np.full(n, 1 / n)), atol=1e-11)
-    np.testing.assert_allclose(power_iterate(m, v), dense_pagerank(from_dense(dense), v), atol=1e-11)
+    np.testing.assert_allclose(solve_left(m, v, GAMMA), dense_pagerank(from_dense(dense), v), atol=1e-11)
 
 
 def test_write_scores_csv_full_precision(tmp_path):
