@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--colors", required=graph == "required", help="color TSV: node<TAB>{0|1}, 1 = red")
         p.add_argument("--tol", type=_tolerance, default=1e-8, help="solver tolerance")
         p.add_argument("--iters", type=_count("iters"), default=5000,
-                       help="iteration budget of the fspr and lfpr-o solvers")
+                       help="budget of dual steps of the fspr and lfpr-o solver")
 
     p_rank = sub.add_parser("rank", help="compute one fair ranking")
     common(p_rank)

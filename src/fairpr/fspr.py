@@ -19,11 +19,11 @@ The targeted variant constrains the protected share of a target set S:
 ``w`` and ``B = [1; a]``; the optimized locally fair policy is the same QP
 with a shift, two other rows in ``B`` and the resolvent of another model,
 convex in the owed mass u, in which its KKT residual is then measured (see
-:func:`fairpr.lfpr.optimize_residuals`).  :func:`solve_fspr` solves them all,
-in two phases: a dual start that needs only products, then the loop that
-certifies it.
+:func:`fairpr.lfpr.optimize_residuals`).  :func:`solve_fspr` solves them all
+by one method: MPRGP on a dual that needs only products, whose points a
+forward and an adjoint solve certify.
 
-The dual start works in score space.  ``Q' = A^{-1}`` with
+The dual works in score space.  ``Q' = A^{-1}`` with
 ``A = (I - (1 - gamma) P') / gamma``, so the scores ``p' = (u + w)' Q`` pay
 the mass ``u = A p - w``, one product, and the QP is the projection of
 ``p_O`` onto ``{p : A p >= w, (B A) p = c + B w}``.  With multipliers
@@ -45,34 +45,20 @@ a blocking bound takes the projected step.
 Since ``Q A' = I``, the loss gradient at ``u = A p(mu) - w`` is
 ``2 (mu + B' nu)``, so every 10 steps the KKT residual of ``x = proj(u)``
 is estimated from projections alone, as the larger of
-``|u - proj(u - 2 (mu + B' nu))|`` and ``|x - u|``.  The phase stops at the
-first of: that estimate below ``tol / 10``; a zero projected gradient, an
-exact dual optimum; no halving of the estimate in 50 steps, a stall, as
-near the ends of the attainable range, where the loop needs few
-iterations; ``max_iters`` steps.  It hands the loop its best checked point:
-``x``, its scores ``p(mu)`` and ``mu + B' nu`` to warm-start the forward
-and the adjoint solve.  A projection that fails in the phase, as one of a
-far-infeasible early point can, hands over the loop's own start.
-
-The loop is an accelerated projected gradient (FISTA with backtracking and
-restart) in u, from the lower-loss one of the dual point and the problem's
-own start, or else from the projected uniform vector.  The forward product
-``p = (u + w)' Q`` and the adjoint ``Q (p - p_O)`` are each one
-warm-started fixed-point solve; both are affine in u, so at the momentum
-point they are extrapolated from the two iterates instead.  Each
-projection is one warm-started :func:`fairpr.simplex.project_polyhedron`.
-
-The loop's products are inexact (Schmidt, Le Roux & Bach, "Convergence
-rates of inexact proximal-gradient methods for convex optimization",
-NeurIPS 2011): each solve stops at ``max(INNER_TOL, INNER_THETA * KKT)``
-with the KKT residual of the last solved iterate, and the step it stops at
-bounds its loss error.  The line search and the restart test count a
-violation only beyond such errors (Devolder, Glineur & Nesterov,
-"First-order methods of smooth convex optimization with inexact oracle",
-Math. Prog. 2014).  For quadratic f the line search tests
-``|p(x) - p(y)|^2 <= L/2 |x - y|^2``, the majorization with ``f(y)`` and
-the gradient term cancelled exactly: a difference of two losses near 0.1
-is all rounding.  The returned scores and loss are solved at ``INNER_TOL``.
+``|u - proj(u - 2 (mu + B' nu))|`` and ``|x - u|``.  The best checked point
+goes to the certificate, unless it already went, on each of: that estimate
+below ``tol / 10``; a zero step direction (a zero projected gradient, or a
+conjugate direction that cancelled); no halving of the estimate in 50
+steps, a stall, as near the ends of the attainable range, where the
+estimate overstates the residual of a projected point; the last of
+``max_iters`` steps.  The certificate is one
+forward and one adjoint solve at ``INNER_TOL``, warm-started from ``p(mu)``
+and ``mu + B' nu``, and the KKT residual ``|x - proj(x - grad f(x))|``.  A
+point within ``tol`` is returned; otherwise the dual goes on, and once, at a
+stall whose certificate is no lower than the previous stall's, starts over
+from the multipliers of the certified point.  Each projection is one
+warm-started :func:`fairpr.simplex.project_polyhedron`; one that fails at a
+check skips the check.
 """
 
 from __future__ import annotations
@@ -86,7 +72,6 @@ from .errors import ConvergenceError, InfeasibleError
 from .graph import ColoredGraph, _check_target_sets
 from .pagerank import (
     DEFAULT_GAMMA,
-    INNER_THETA,
     INNER_TOL,
     TransitionModel,
     _check_phi,
@@ -126,8 +111,8 @@ class FsprProblem:
 
     ``Q`` is the resolvent of ``model``.  A 1-D ``constraint`` is the ``a``
     of ``B = [1; a]``, ``c = (1, rhs)``: jump vectors with red mass ``u' q_r``.
-    A 2-D one is ``B``, with ``c = rhs``.  ``start`` is a feasible first
-    iterate, which the solver weighs against its dual start;
+    A 2-D one is ``B``, with ``c = rhs``.  ``start`` is a feasible point
+    that a solve which runs out of steps returns where its loss is the lower;
     ``start_scores``, its scores if known, warm-start its forward solve.
     """
 
@@ -176,11 +161,11 @@ def targeted_fspr_problem(
 
 @dataclass(frozen=True)
 class FsprSolution:
-    """The best iterate, its diagnostics (``achieved_fairness`` needs a ``q_r``) and work.
+    """The returned point, its diagnostics (``achieved_fairness`` needs a ``q_r``) and work.
 
-    ``dual_steps`` counts the steps of the dual start, ``forward_solves``
-    and ``adjoint_solves`` the loop's solves, ``matvecs`` every transition
-    product, the dual's and the final re-solve's included.
+    ``iterations`` counts the dual's steps, ``certificates`` the points
+    certified by a forward and an adjoint solve, ``matvecs`` every
+    transition product.
     """
 
     x: np.ndarray
@@ -191,11 +176,8 @@ class FsprSolution:
     kkt_residual: float
     iterations: int
     converged: bool
-    forward_solves: int
-    adjoint_solves: int
-    backtracks: int
+    certificates: int
     matvecs: int
-    dual_steps: int
 
 
 def _rows(problem: FsprProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -214,7 +196,7 @@ def _rows(problem: FsprProblem) -> tuple[np.ndarray, np.ndarray]:
 def _projection(b: np.ndarray, rhs: np.ndarray):
     """A projection onto ``{x >= 0, B x = c}``.
 
-    Each keeps its own warm start: the loop's steps and KKT tests lie apart.
+    Each keeps its own warm start: the dual's points and the KKT tests lie apart.
     """
     lam = None  # the warm start: the last call's multipliers
 
@@ -226,16 +208,17 @@ def _projection(b: np.ndarray, rhs: np.ndarray):
     return project
 
 
-def _dual_start(problem: FsprProblem, b, rhs, tol: float, max_steps: int, counts: dict):
-    """The dual start of the module docstring, in at most ``max_steps`` steps.
+def _mprgp(problem: FsprProblem, b, rhs, tol: float, max_steps: int, counts: dict, project, project_kkt):
+    """MPRGP on the dual of the module docstring, for at most ``max_steps`` steps.
 
-    Returns ``(x, p, half)`` of its best checked point: the projection of the
-    paid mass ``u = A p - w``, the scores p and ``mu + B' nu``, half the
-    gradient at u; None if a projection fails.
+    Yields ``(x, p, half, stalled)`` of its best checked point wherever the
+    module docstring sends one to the certificate: the projection of the paid
+    mass ``u = A p - w``, the scores p, ``mu + B' nu`` (half the gradient at
+    u), and whether it stalled.  Resumed, it goes on; sent multipliers mu, it
+    starts over from them.
     """
     model, gamma, p_o = problem.model, problem.gamma, problem.p_o
     shift = np.zeros(model.n) if problem.shift is None else problem.shift
-    project, project_kkt = _projection(b, rhs), _projection(b, rhs)
 
     def through_a(v, apply=model.apply_left):
         """``A v``, the jump under which scores v are the PageRank (``A' v`` by ``apply_right``); one product."""
@@ -257,54 +240,68 @@ def _dual_start(problem: FsprProblem, b, rhs, tol: float, max_steps: int, counts
         """``(mu, z, grad)`` after the step ``mu - alpha d``, ``image = hessian(d)``."""
         return np.maximum(mu - alpha * d, 0.0), z - alpha * image[0], grad - alpha * image[1]
 
-    mu, z, top, lip = np.zeros(model.n), p_o, 0.0, 1.0  # top: the largest d'Hd / d'd stepped along
-    grad = through_a(z - basis @ (basis.T @ z) + offset) - shift  # u = A p(mu) - w
-    direction, best, best_est, mark, mark_step = None, None, np.inf, np.inf, 0
-    try:
-        for step in range(1, max_steps + 1):
-            counts["dual"] += 1
-            free = mu > 0.0
-            free_grad = np.where(free, grad, 0.0)
-            chopped = np.where(free, 0.0, np.minimum(grad, 0.0))
-            optimal = not (free_grad.any() or chopped.any())  # a zero projected gradient
-            if optimal or step % 10 == 0 or step == max_steps:
-                coef = basis.T @ z
-                p, half = z - basis @ coef + offset, mu + np.linalg.solve(r, level - coef) @ b
+    def at(mu, z):
+        """``(mu, z, grad)`` at multipliers mu with ``z = p_o + A'mu``; one product."""
+        return mu, z, through_a(z - basis @ (basis.T @ z) + offset) - shift  # u = A p(mu) - w
+
+    mu, z, grad = at(np.zeros(model.n), p_o)
+    top, lip = 0.0, 1.0  # top: the largest d'Hd / d'd stepped along
+    direction, best, best_est, handed, mark, mark_step = None, None, np.inf, None, np.inf, 0
+    for step in range(1, max_steps + 1):
+        counts["dual"] += 1
+        free = mu > 0.0
+        free_grad = np.where(free, grad, 0.0)
+        chopped = np.where(free, 0.0, np.minimum(grad, 0.0))
+        # A conjugate gradient step on the free set, or a proportioning one along the
+        # chopped gradient where that outweighs the free one.
+        proportional = chopped @ chopped <= np.minimum(lip * mu, free_grad) @ free_grad
+        d = (free_grad if direction is None else direction) if proportional else chopped
+        optimal = not d.any()  # a zero projected gradient, or a conjugate direction that cancelled
+        if optimal or step % 10 == 0 or step == max_steps:
+            coef = basis.T @ z
+            p, half = z - basis @ coef + offset, mu + np.linalg.solve(r, level - coef) @ b
+            try:
                 x = project(grad)
                 est = max(np.linalg.norm(x - grad), np.linalg.norm(grad - project_kkt(grad - 2.0 * half)))
-                if est < best_est:
-                    best, best_est = (x, p, half), est
-                if optimal or best_est <= 0.1 * tol or step == max_steps:
-                    break
-                if best_est <= 0.5 * mark:
-                    mark, mark_step = best_est, step
-                elif step - mark_step >= 50:
-                    break  # stalled: no halving in 50 steps
-            # A conjugate gradient step on the free set, or a proportioning one along the
-            # chopped gradient where that outweighs the free one.
-            proportional = chopped @ chopped <= np.minimum(lip * mu, free_grad) @ free_grad
-            d = (free_grad if direction is None else direction) if proportional else chopped
-            image = hessian(d)
-            curv, blocking = d @ image[1], d > 0.0
-            if curv > 0.0:  # L of the module docstring; 1.0 until a direction has curvature
-                top = max(top, curv / (d @ d))
-                lip = 1.2 * top
-            feasible = float(np.min(mu[blocking] / d[blocking])) if blocking.any() else np.inf
-            if curv > 0.0 and (grad @ d) / curv <= feasible:
-                mu, z, grad = moved(d, (grad @ d) / curv, image)
-                free_grad = np.where(mu > 0.0, grad, 0.0)
-                direction = free_grad - (free_grad @ image[1]) / curv * d if proportional else None
-                continue
-            # Expansion: to the blocking bound, if any (H vanishes on span(B'), where a
-            # step without one would be 0/0), then a projected gradient step of 1/L.
-            if blocking.any():
-                mu, z, grad = moved(d, feasible, image)
-            d = mu - np.maximum(mu - np.where(mu > 0.0, grad, 0.0) / lip, 0.0)
-            mu, z, grad = moved(d, 1.0, hessian(d))
+            except ConvergenceError:
+                est = np.inf  # a failed projection skips the check
+            if est < best_est:
+                best, best_est = (x, p, half), est
+            stalled = False
+            if best_est <= 0.5 * mark:
+                mark, mark_step = best_est, step
+            elif step - mark_step >= 50:
+                stalled, mark_step = True, step  # no halving in 50 steps
+            if (optimal or stalled or best_est <= 0.1 * tol or step == max_steps) and best is not handed:
+                handed = best
+                sent = yield (*best, stalled)
+                if sent is not None:
+                    mu, z, grad = at(sent, p_o + through_a(sent, model.apply_right))
+                    direction, best, best_est, handed, mark, mark_step = None, None, np.inf, None, np.inf, step
+                    continue
+        if optimal:
+            if direction is None:
+                return  # an exact dual optimum: nothing left to step along
             direction = None
-    except ConvergenceError:
-        return None
-    return best
+            continue
+        image = hessian(d)
+        curv, blocking = d @ image[1], d > 0.0
+        if curv > 0.0:  # L of the module docstring; 1.0 until a direction has curvature
+            top = max(top, curv / (d @ d))
+            lip = 1.2 * top
+        feasible = float(np.min(mu[blocking] / d[blocking])) if blocking.any() else np.inf
+        if curv > 0.0 and (grad @ d) / curv <= feasible:
+            mu, z, grad = moved(d, (grad @ d) / curv, image)
+            free_grad = np.where(mu > 0.0, grad, 0.0)
+            direction = free_grad - (free_grad @ image[1]) / curv * d if proportional else None
+            continue
+        # Expansion: to the blocking bound, if any (H vanishes on span(B'), where a
+        # step without one would be 0/0), then a projected gradient step of 1/L.
+        if blocking.any():
+            mu, z, grad = moved(d, feasible, image)
+        d = mu - np.maximum(mu - np.where(mu > 0.0, grad, 0.0) / lip, 0.0)
+        mu, z, grad = moved(d, 1.0, hessian(d))
+        direction = None
 
 
 def solve_fspr(
@@ -313,10 +310,11 @@ def solve_fspr(
     """Minimize the score distortion over the problem's feasible set.
 
     Raises :class:`InfeasibleError` when a jump-vector constraint cannot be
-    met.  Stops when the unit-step projected-gradient residual
-    ``|| u - proj(u - grad f(u)) ||_2`` drops below ``tol``; if the budget
-    runs out first, the best iterate is returned flagged non-converged.
-    ``max_iters`` bounds the dual start's steps and the loop's iterations.
+    met.  Returns the first certified point whose unit-step projected-gradient
+    residual ``|| u - proj(u - grad f(u)) ||_2`` is within ``tol``.  A solve
+    that runs out of its ``max_iters`` dual steps returns its lowest-residual
+    certified point, or the problem's ``start`` where that has the lower loss,
+    flagged non-converged.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be a positive finite number, got {tol}")
@@ -325,112 +323,48 @@ def solve_fspr(
     b, rhs = _rows(problem)
     project, project_kkt = _projection(b, rhs), _projection(b, rhs)
     model, gamma, p_o, shift = problem.model, problem.gamma, problem.p_o, problem.shift
-    counts = {"forward": 0, "adjoint": 0, "backtracks": 0, "matvecs": 0, "dual": 0}
-    spread = (1.0 - gamma) / gamma  # a solve stopped at step s is within s * spread
-    inner = INNER_TOL  # until the first KKT residual is known
+    counts = {"matvecs": 0, "dual": 0, "certificates": 0}
 
-    def forward(x, start, stop):
-        return solve_left(model, x if shift is None else x + shift, gamma, tol=stop, start=start, counts=counts)
+    def certified(x, p, half):
+        """``(kkt, loss, x, scores, grad)`` of x, from a forward and an adjoint solve warm-started at p and half."""
+        counts["certificates"] += 1
+        p = solve_left(model, x if shift is None else x + shift, gamma, tol=INNER_TOL, start=p, counts=counts)
+        grad = 2.0 * solve_right(model, p - p_o, gamma, tol=INNER_TOL, start=half, counts=counts)
+        return float(np.linalg.norm(x - project_kkt(x - grad))), float((p - p_o) @ (p - p_o)), x, p, grad
 
-    def solved(x, p, start):
-        """``(x, p, grad, f, err)`` of a point whose p was solved at ``inner``; ``err`` bounds p's L1 error."""
-        counts["adjoint"] += 1
-        diff = p - p_o
-        grad = 2.0 * solve_right(model, diff, gamma, tol=inner, start=start, counts=counts)
-        return x, p, grad, float(diff @ diff), inner * spread
-
-    def delta(point):
-        """The error of a point's loss that its products' error can explain: ``2 ||p - p_o||_inf err``."""
-        return 2.0 * float(np.abs(point[1] - p_o).max()) * point[4]
-
-    def kkt_of(point):
-        return float(np.linalg.norm(point[0] - project_kkt(point[0] - point[2])))
-
-    dual = _dual_start(problem, b, rhs, tol, max_iters, counts)
-    starts = [] if dual is None else [dual]
-    if problem.start is not None:
-        starts.append((problem.start, problem.start_scores, None))
-    elif dual is None:
-        starts.append((project(np.full(model.n, 1.0 / model.n)), None, None))
-    counts["forward"] += len(starts)
-    starts = [(x, forward(x, p, inner), half) for x, p, half in starts]
-    x, p, half = min(starts, key=lambda start: float((start[1] - p_o) @ (start[1] - p_o)))
-    cur = solved(x, p, half)
-    best, best_kkt = cur, kkt_of(cur)
-    inner = max(INNER_TOL, INNER_THETA * best_kkt)
-    y = cur  # momentum point, same layout; an extrapolated one has no loss
-    t_momentum = 1.0
-    lip = 1.0
-    iters_used = 0
-    converged = False
-
-    for k in range(1, max_iters + 1):
-        iters_used = k
-        y_x, y_p, y_g, _, y_err = y
-
-        # Backtracking line search on the majorization at y (module docstring);
-        # one forward solve a trial.
-        p_new = y_p
-        for _ in range(60):
-            x_new = project(y_x - y_g / lip)
-            step = x_new - y_x
-            counts["forward"] += 1
-            p_new = forward(x_new, p_new, inner)
-            dp = p_new - y_p
-            noise = 2.0 * float(np.abs(dp).max()) * (inner * spread + y_err)
-            if dp @ dp - noise <= 0.5 * lip * (step @ step):
-                break
-            lip *= 2.0
-            counts["backtracks"] += 1
-
-        new = solved(x_new, p_new, 0.5 * y_g)
-        kkt = kkt_of(new)
-        inner = max(INNER_TOL, INNER_THETA * kkt)
-        if new[3] < best[3]:
-            best, best_kkt = new, kkt
-        if kkt <= tol:
-            best, best_kkt = new, kkt
-            converged = True
-            break
-
-        if new[3] > cur[3] + 1e-12 * (1.0 + abs(cur[3])) + delta(new) + delta(cur):
-            # Momentum overshot beyond solver noise: restart from the best point.
-            cur = y = best
-            t_momentum = 1.0
-            continue
-        if (y_x - x_new) @ (x_new - cur[0]) > 0.0:
-            # Momentum points uphill: adaptive restart keeps the rate linear.
-            cur = y = new
-            t_momentum = 1.0
-        else:
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2))
-            beta = (t_momentum - 1.0) / t_next
-            # x -> (x + w)'Q and x -> Q((x + w)'Q - p_o) are affine: extrapolate them with x,
-            # and p's error bound with them, at most 3 times the larger of the two.
-            y_x, y_p, y_g = (v + beta * (v - v_old) for v, v_old in zip(new[:3], cur[:3]))
-            y = (y_x, y_p, y_g, None, (1.0 + beta) * new[4] + beta * cur[4])
-            cur = new
-            t_momentum = t_next
-        lip = max(lip * 0.9, 1e-6)
-
-    # The loop's products are only as exact as its last KKT residual asked.
-    best_x = best[0]
-    scores = forward(best_x, best[1], INNER_TOL)
+    dual = _mprgp(problem, b, rhs, tol, max_iters, counts, project, project_kkt)
+    best, stall_kkt, restarted, restart = None, np.inf, False, None
+    try:
+        while best is None or best[0] > tol:
+            x, p, half, stalled = dual.send(restart)
+            point = certified(x, p, half)
+            best = point if best is None or point[0] < best[0] else best
+            restart = None
+            if stalled:
+                if point[0] >= stall_kkt and not restarted:
+                    # Start over from x's multipliers: nu fits half the gradient on x's support.
+                    half = 0.5 * point[4]
+                    nu = np.linalg.lstsq(b[:, x > 0.0].T, half[x > 0.0], rcond=None)[0]
+                    restart, restarted = np.maximum(half - nu @ b, 0.0), True
+                stall_kkt = point[0]
+    except StopIteration:  # out of steps: the start, where given, if its loss is the lower
+        if best is None or problem.start is not None:
+            start = project(np.full(model.n, 1.0 / model.n)) if problem.start is None else problem.start
+            point = certified(start, problem.start_scores, None)
+            best = point if best is None or point[1] < best[1] else best
+    kkt, loss, x, scores, _ = best
     a, rhs = problem.constraint, problem.rhs
     return FsprSolution(
-        x=best_x,
+        x=x,
         scores=scores,
-        loss=float((scores - p_o) @ (scores - p_o)),
-        achieved_fairness=None if problem.q_r is None else float(best_x @ problem.q_r),
-        constraint_residual=float(np.abs(a @ best_x - rhs).max()),
-        kkt_residual=best_kkt,
-        iterations=iters_used,
-        converged=converged,
-        forward_solves=counts["forward"],
-        adjoint_solves=counts["adjoint"],
-        backtracks=counts["backtracks"],
+        loss=loss,
+        achieved_fairness=None if problem.q_r is None else float(x @ problem.q_r),
+        constraint_residual=float(np.abs(a @ x - rhs).max()),
+        kkt_residual=kkt,
+        iterations=counts["dual"],
+        converged=kkt <= tol,
+        certificates=counts["certificates"],
         matvecs=counts["matvecs"],
-        dual_steps=counts["dual"],
     )
 
 

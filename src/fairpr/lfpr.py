@@ -14,8 +14,8 @@ uniformly over the group, proportionally to the original PageRank, or
 optimized to minimize utility loss.  The scores are affine in the mass
 ``u = (1 - gamma) / gamma * [(p' delta_R) x + (p' delta_B) y]`` that the
 optimized policy (x, y) pays out, so its utility loss is a convex QP in u,
-which ``optimize_residuals`` solves on the loop of
-:func:`fairpr.fspr.solve_fspr`; its ``kkt_residual`` is measured in u.
+which ``optimize_residuals`` solves with :func:`fairpr.fspr.solve_fspr`;
+its ``kkt_residual`` is measured in u.
 
 The global model is the targeted model at S = all nodes and S_R = red:
 targeted fairness splits only the mass a row sends into a target set S,
@@ -207,9 +207,9 @@ def lfpr_pagerank(
 
 @dataclass(frozen=True)
 class OptimizedSearchResult:
-    """The optimized policy, its diagnostics, and its work (``evaluations``: forward solves;
-    ``matvecs``: transition products), each counting the problem's own solves too;
-    ``dual_steps`` as in :class:`fairpr.fspr.FsprSolution`."""
+    """The optimized policy, its diagnostics, and its work (``iterations``: dual steps;
+    ``evaluations``: forward solves; ``matvecs``: transition products), the last two
+    counting the problem's own solves too."""
 
     policy: ResidualPolicy
     loss: float
@@ -217,10 +217,7 @@ class OptimizedSearchResult:
     kkt_residual: float
     iterations: int
     evaluations: int
-    adjoint_solves: int
-    backtracks: int
     matvecs: int
-    dual_steps: int
 
 
 def _residual_problem(
@@ -231,8 +228,8 @@ def _residual_problem(
     With ``u = (1 - gamma) / gamma * [(p' delta_R) x + (p' delta_B) y]`` the
     locally fair fixed point becomes ``p' = (u + v)' Q`` for the fair jump
     ``v`` and the resolvent ``Q`` of ``P_L`` alone.  Summing u over each group
-    and writing ``p' delta = (u + v)' Q delta`` gives its two equalities.  It
-    starts at the better of the uniform and proportional policies, with its
+    and writing ``p' delta = (u + v)' Q delta`` gives its two equalities.  Its
+    ``start`` is the better of the uniform and proportional policies, with its
     scores.  Its four solves add their products to ``counts["matvecs"]`` as in
     :func:`fairpr.pagerank.solve_left`.
     """
@@ -284,12 +281,13 @@ def optimize_residuals(
 
     ``||p(x, y) - p_o||^2`` is a convex quadratic in the owed mass ``u``
     that the policy pays out (see :func:`_residual_problem`), so
-    :func:`fairpr.fspr.solve_fspr` minimizes it, from the better of its dual
-    start and the better of the uniform and proportional policies, for at
-    most ``iterations`` steps and to a KKT residual of ``tol``, measured in
-    u.  The policy is u normalized per group: ``x = u_R / sum u_R``, uniform
-    where a group is owed nothing, and likewise y.  It is never worse than
-    either fixed policy.
+    :func:`fairpr.fspr.solve_fspr` minimizes it, in at most ``iterations``
+    dual steps and to a KKT residual of ``tol``, measured in u.  A search
+    that runs out of steps returns the better of the uniform and
+    proportional policies where that has the lower loss, so it is never
+    worse than either fixed policy.  The policy is u normalized per group:
+    ``x = u_R / sum u_R``, uniform where a group is owed nothing, and
+    likewise y.
     """
     phi = _check_phi(phi)
     if iterations < 1:
@@ -304,11 +302,8 @@ def optimize_residuals(
         converged=sol.converged,
         kkt_residual=sol.kkt_residual,
         iterations=sol.iterations,
-        evaluations=sol.forward_solves + 2,  # with the problem's own solves
-        adjoint_solves=sol.adjoint_solves + 2,
-        backtracks=sol.backtracks,
+        evaluations=sol.certificates + 2,  # with the problem's own solves
         matvecs=sol.matvecs + counts["matvecs"],
-        dual_steps=sol.dual_steps,
     )
 
 

@@ -40,12 +40,9 @@ from .graph import ColoredGraph
 
 DEFAULT_GAMMA = 0.15
 DEFAULT_TOL = 1e-12
-# The optimizers' floor: their problem data, the tightest inner solve of their
-# loop and the final re-solve of the scores they return all stop at this step.
+# The optimizers' floor: their problem data and the forward and adjoint solves
+# that certify the points they return stop at this step.
 INNER_TOL = 1e-13
-# Inside the optimizers' loop, forward and adjoint solves stop at
-# max(INNER_TOL, INNER_THETA * the KKT residual of the last solved iterate).
-INNER_THETA = 3e-5
 # Plain fixed-point steps between two extrapolations.
 CYCLE = 6
 DEFAULT_MAX_ITERS = 10_000
