@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -108,6 +109,18 @@ def _rank_once(g, algo, args, phi, p_o, gamma, targets):
     return scores, extras, policy
 
 
+def _policy_json(policy) -> str:
+    """``write_json``'s bytes for the kind and the nonzero x and y entries, from json's C encoder."""
+    text = '{\n  "kind": ' + json.dumps(policy.kind.value)
+    for name, vec in (("x", policy.x), ("y", policy.y)):
+        if vec is not None:
+            nodes = np.flatnonzero(vec)
+            body = json.dumps(dict(zip(map(str, nodes.tolist()), vec[nodes].tolist())),
+                              sort_keys=True, separators=(",\n    ", ": "))
+            text += f',\n  "{name}": ' + (body if nodes.size == 0 else "{\n    " + body[1:-1] + "\n  }")
+    return text + "\n}\n"
+
+
 def cmd_rank(args) -> int:
     g = graph.load_graph(args.edges, args.colors)
     gamma = args.gamma
@@ -140,11 +153,7 @@ def cmd_rank(args) -> int:
         with open(out / "solution.csv", "w", encoding="utf-8", newline="") as fh:
             fh.write("node,jump_prob,score\n" + "".join(rows))
     if policy is not None:
-        payload: dict = {"kind": policy.kind.value}
-        for name, vec in (("x", policy.x), ("y", policy.y)):
-            if vec is not None:
-                payload[name] = {str(i): float(v) for i, v in enumerate(vec) if v != 0.0}
-        analysis.write_json(out / "policy.json", payload)
+        (out / "policy.json").write_text(_policy_json(policy), encoding="utf-8")
     analysis.write_json(out / "report.json", {**asdict(report), **extras})
     print(
         f"{args.algo}: red_mass={report.red_mass:.6f} loss={report.loss:.6e} "
@@ -233,7 +242,7 @@ def cmd_audit(args) -> int:
     model = standard_transition(g)
     if args.algo != "opr":
         phi = _require_phi(args.phi)
-        p_o = pagerank(model, args.gamma)
+        p_o = pagerank(model, args.gamma) if args.algo == "lfpr-p" else None  # lfpr-o solves its own
         policy, _ = _lfpr_policy(g, args.algo, args, phi, args.gamma, p_o)
         model = lfpr.build_residual_model(g, phi, policy)
     # phi = None audits against the red node share.

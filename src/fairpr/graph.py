@@ -4,17 +4,16 @@ Nodes carry a binary color (red = protected group, blue = the rest) and are
 identified by dense integer ids ``0..n-1``.  Adjacency is stored CSR-style so
 transition matrices can be assembled without re-scanning edge lists.
 
-TSV input is read in one strict numpy pass (:func:`_int_rows`), which accepts
-only digits, tabs and ``\\n`` in the exact layout that :func:`save_graph`
-writes.  Any other file, and any file that fails a check, goes to the
-line-by-line parser, which alone words every :class:`GraphError` with the
-file's ``path:line``.
+TSV input is read in one strict numpy pass (:func:`_int_rows`): checks that
+accept only digits, tabs and ``\\n`` in the layout :func:`save_graph` writes,
+then one ``np.fromstring`` parse.  Any other file, and any file that fails a
+check, goes to the line-by-line parser, which alone words every
+:class:`GraphError` with the file's ``path:line``.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -110,20 +109,21 @@ def from_edges(n: int, edges, red) -> ColoredGraph:
     if edge_arr.size and (edge_arr.min() < 0 or edge_arr.max() >= n):
         raise GraphError("edge endpoint out of range")
 
-    # Edges already sorted by (src, dst) without repeats, as save_graph writes
-    # them, need neither the sort nor the duplicate scan.
-    src_step = np.diff(edge_arr[:, 0])
-    if not np.all((src_step > 0) | ((src_step == 0) & (np.diff(edge_arr[:, 1]) > 0))):
-        edge_arr = edge_arr[np.lexsort((edge_arr[:, 1], edge_arr[:, 0]))]
-        dup = np.all(edge_arr[1:] == edge_arr[:-1], axis=1)
-        if dup.any():
-            i, j = edge_arr[1:][dup][0]
-            raise GraphError(f"duplicate edge ({i}, {j})")
+    # The key src * n + dst is exact while n * n < 2**63 (n < 3.03e9).  Edges in
+    # increasing key order, as save_graph writes them, skip the sort and repeat scan.
+    src, dst = edge_arr.T
+    key = src * n + dst
+    if not (np.diff(key) > 0).all():
+        key = np.sort(key)
+        repeat = np.flatnonzero(np.diff(key) == 0)
+        if repeat.size:
+            raise GraphError("duplicate edge ({}, {})".format(*divmod(int(key[repeat[0]]), n)))
+        src, dst = np.divmod(key, n)
 
-    counts = np.bincount(edge_arr[:, 0], minlength=n)
+    counts = np.bincount(src, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    return ColoredGraph(indptr=indptr, indices=edge_arr[:, 1].copy(), red=red)
+    return ColoredGraph(indptr=indptr, indices=dst.copy(), red=red)
 
 
 def _check_target_sets(g: ColoredGraph, s, s_r) -> tuple[np.ndarray, np.ndarray]:
@@ -167,8 +167,8 @@ def _int_rows(path, columns: int) -> np.ndarray | None:
     """The file as an (m, columns) int64 array, or ``None`` to hand it to the line parser.
 
     Accepts only lines of exactly ``columns`` tab-separated fields of 1 to 18
-    digits, each line ending in ``\\n``.  On such input ``int()`` and numpy
-    read every field alike.  Anything else declines: an empty file, ``\\r``,
+    digits, each line ending in ``\\n``; one ``np.fromstring`` then reads every
+    field as ``int()`` would.  Anything else declines: an empty file, ``\\r``,
     spaces, signs, comments, blank lines, a missing final newline and bytes
     that are not ASCII.
     """
@@ -185,7 +185,7 @@ def _int_rows(path, columns: int) -> np.ndarray | None:
     widths = np.diff(seps, prepend=-1) - 1
     if widths.min() < 1 or widths.max() > _MAX_DIGITS:
         return None
-    return np.loadtxt(io.BytesIO(data), dtype=np.int64, delimiter="\t", ndmin=2).reshape(-1, columns)
+    return np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, columns)  # " " matches tab and \n
 
 
 def _load_strict(edge_path, color_path) -> ColoredGraph | None:

@@ -75,8 +75,9 @@ class SparseRows:
         return self._sum_into(self.rows, q.take(self.indices))
 
     def _sum_into(self, slots: np.ndarray, values: np.ndarray) -> np.ndarray:
-        # bincount of no entries is int64 zeros, whatever the weights.
-        return np.bincount(slots, weights=values * self.data, minlength=self.n).astype(float, copy=False)
+        # The product overwrites the caller's fresh gather; bincount of no entries is int64 zeros.
+        weights = np.multiply(values, self.data, out=values)
+        return np.bincount(slots, weights=weights, minlength=self.n).astype(float, copy=False)
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.n, self.n))
@@ -103,14 +104,14 @@ class TransitionModel:
         """Row-vector product ``p' M``."""
         out = self.base.left(p)
         for delta, target in self.residuals:
-            out = out + (p @ delta) * target
+            out += (p @ delta) * target
         return out
 
     def apply_right(self, q: np.ndarray) -> np.ndarray:
         """Column-vector product ``M q``."""
         out = self.base.right(q)
         for delta, target in self.residuals:
-            out = out + (target @ q) * delta
+            out += (target @ q) * delta
         return out
 
     def to_dense(self) -> np.ndarray:

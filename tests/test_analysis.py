@@ -189,6 +189,9 @@ def test_audit_csv_outputs(tmp_path):
     a_lines = (tmp_path / "a.csv").read_text().splitlines()
     assert a_lines[0] == "node,color,adjusted_red_mass,fair"
     assert len(a_lines) == g.n + 1
+    # the digits str.format writes, full precision
+    fields = zip(audit.nodes.tolist(), audit.red.tolist(), audit.adjusted.tolist(), audit.fair.tolist())
+    assert a_lines[1:] == ["{},{:d},{:.17g},{:d}".format(*row) for row in fields]
     h_lines = (tmp_path / "h.csv").read_text().splitlines()
     assert h_lines[0] == "bin_lo,bin_hi,red_count,blue_count"
     assert len(h_lines) == 21

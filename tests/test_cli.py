@@ -8,10 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fairpr
-from fairpr.cli import main
+from fairpr.cli import _policy_json, main
 from fairpr.graph import load_graph, save_graph
+from fairpr.lfpr import PolicyKind, ResidualPolicy
 from fairpr.pagerank import DEFAULT_GAMMA, standard_transition
 from fairpr.synth import SynthConfig, generate
 
@@ -131,6 +134,29 @@ def test_rank_lfpr_o_writes_policy(tmp_path, graph_files):
     assert not x[~g.red].any()
 
 
+def _vectors(size):
+    values = st.floats() | st.sampled_from((0.0, -0.0, 5e-324, 2.2e-308, 1.7976931348623157e308))
+    return st.lists(values, min_size=size, max_size=size).map(np.array)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(list(PolicyKind)),
+    vectors=st.integers(0, 40).flatmap(lambda n: st.none() | st.tuples(_vectors(n), _vectors(n))),
+)
+@example(kind=PolicyKind.NEIGHBORHOOD, vectors=None)  # lfpr-n: the kind alone
+@example(kind=PolicyKind.UNIFORM, vectors=(np.array([0.0, -0.0, 0.0]), np.array([0.0, 5e-324, 1e308])))
+@example(kind=PolicyKind.OPTIMIZED, vectors=(np.array([-0.0, 0.25]), np.zeros(2)))  # an all-zero group
+def test_policy_json_is_the_bytes_of_indented_json(kind, vectors):
+    # the nonzero entries by node id, as json.dump(..., indent=2, sort_keys=True) writes them
+    policy = ResidualPolicy(kind) if vectors is None else ResidualPolicy(kind, *vectors)
+    payload = {"kind": kind.value}
+    for name, vec in (("x", policy.x), ("y", policy.y)):
+        if vec is not None:
+            payload[name] = {str(i): float(v) for i, v in enumerate(vec) if v != 0.0}
+    assert _policy_json(policy) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def test_rank_reruns_are_byte_identical(tmp_path, graph_files):
     edges, colors, _ = graph_files
     outs = []
@@ -248,6 +274,24 @@ def test_audit_command(tmp_path, graph_files):
         )
         == 1
     )
+
+
+def test_audit_solves_the_original_pagerank_only_for_the_proportional_policy(tmp_path, graph_files, monkeypatch):
+    # lfpr-u and lfpr-n do not read p_o; lfpr-p does
+    edges, colors, _ = graph_files
+    calls, pagerank = [], fairpr.cli.pagerank
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return pagerank(*args, **kwargs)
+
+    for module in (fairpr.cli, fairpr.lfpr):
+        monkeypatch.setattr(module, "pagerank", spy)
+    for algo, expected in (("lfpr-u", 0), ("lfpr-n", 0), ("lfpr-p", 1)):
+        calls.clear()
+        argv = ["audit", "--edges", str(edges), "--colors", str(colors), "--algo", algo, "--phi", "0.3"]
+        assert main([*argv, "--out", str(tmp_path / algo)]) == 0
+        assert len(calls) == expected, algo
 
 
 def test_audit_sampling(tmp_path, graph_files):

@@ -166,6 +166,7 @@ def _outcome(load, edge_path, color_path):
 @example(files=MUST_FALL_BACK[6])
 @example(files=MUST_FALL_BACK[7])
 @example(files=(b"0\t2\n", b"0\t1\n2\t0\n0\t1\n"))  # ids reach n - 1 on n lines, but 0 repeats and 1 is missing
+@example(files=(b"0\t000000000000000001\n01\t0\n", b"000000000000000000\t1\n000000000000000001\t0\n"))  # 18 digits, leading 0s
 def test_strict_reader_declines_or_matches_the_line_parser(files):
     with tempfile.TemporaryDirectory() as tmp:
         edges, colors = Path(tmp) / "edges.tsv", Path(tmp) / "colors.tsv"
