@@ -15,7 +15,3 @@ class ConvergenceError(FairprError):
 
 class InfeasibleError(FairprError):
     """The requested fairness target cannot be met by any jump vector."""
-
-
-class DegenerateTargetError(FairprError):
-    """The target set receives no mass, so the fairness ratio is undefined."""

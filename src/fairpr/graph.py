@@ -254,39 +254,31 @@ def _load_lines(edge_path, color_path) -> ColoredGraph:
         missing = next(i for i in range(n) if i not in colors)
         raise GraphError(f"{color_path}: node ids not dense, {missing} missing")
 
-    edges = []
+    edges, seen, repeat = [], set(), None
     for lineno, line in _parse_lines(edge_path):
         parts = line.split("\t")
         if len(parts) != 2:
             raise GraphError(f"{edge_path}:{lineno}: expected src<TAB>dst")
         try:
-            src, dst = int(parts[0]), int(parts[1])
+            edge = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphError(f"{edge_path}:{lineno}: non-integer token") from None
-        for endpoint in (src, dst):
+        for endpoint in edge:
             if endpoint not in colors:
-                raise GraphError(
-                    f"{edge_path}:{lineno}: node {endpoint} has no color"
-                )
-        edges.append((src, dst))
+                raise GraphError(f"{edge_path}:{lineno}: node {endpoint} has no color")
+        if repeat is None and edge in seen:
+            repeat = f"{edge_path}:{lineno}: duplicate edge {edge}"
+        seen.add(edge)  # the list's own tuple, so the set holds no second copy
+        edges.append(edge)
 
     red = np.zeros(n, dtype=bool)
     for node, color in colors.items():
         red[node] = bool(color)
-    try:
-        return from_edges(n, edges, red)
-    except GraphError as exc:
-        # A one-color graph or a repeated edge: name the file, and rescan for
-        # the line only on this path.
-        if red.all() or not red.any():
-            raise GraphError(f"{color_path}: {exc}") from None
-        seen = set()
-        for lineno, line in _parse_lines(edge_path):
-            edge = tuple(int(part) for part in line.split("\t"))
-            if edge in seen:
-                raise GraphError(f"{edge_path}:{lineno}: duplicate edge {edge}") from None
-            seen.add(edge)
-        raise
+    if red.all() or not red.any():  # named before any repeated edge
+        raise GraphError(f"{color_path}: both color groups must be nonempty")
+    if repeat is not None:
+        raise GraphError(repeat)
+    return from_edges(n, edges, red)
 
 
 def save_graph(g: ColoredGraph, edge_path, color_path) -> None:

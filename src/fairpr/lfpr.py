@@ -31,7 +31,6 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateTargetError
 from .fspr import FsprProblem, solve_fspr
 from .graph import ColoredGraph, _check_target_sets
 from .pagerank import (
@@ -69,7 +68,6 @@ class ResidualDecomposition:
     ``base`` red mass + ``delta_red`` equals ``phi`` exactly.
     """
 
-    phi: float
     base: SparseRows
     delta_red: np.ndarray
     delta_blue: np.ndarray
@@ -83,7 +81,6 @@ def residual_decompose(g: ColoredGraph, phi: float) -> ResidualDecomposition:
     phi = _check_phi(phi)
     split = _split_rows(g, _everyone(g), g.red, phi, neighborhood=False)
     return ResidualDecomposition(
-        phi=phi,
         base=split.base,
         delta_red=split.delta_r,
         delta_blue=split.delta_b,
@@ -121,19 +118,6 @@ class ResidualPolicy:
     y: np.ndarray | None = None
 
 
-def _check_group_distribution(vec, mask, name):
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != mask.shape:
-        raise ValueError(f"{name} must have one entry per node")
-    if vec.min() < 0:
-        raise ValueError(f"{name} has negative entries")
-    if np.abs(vec[~mask]).max(initial=0.0) > 1e-12:
-        raise ValueError(f"{name} must be supported on its own group")
-    if abs(vec.sum() - 1.0) > 1e-9:
-        raise ValueError(f"{name} must sum to 1")
-    return vec
-
-
 def _fixed_policy_vectors(kind: PolicyKind, red_part, blue_part, p_o) -> tuple[np.ndarray, np.ndarray]:
     """The uniform or proportional (x, y) pair over the two parts of a split."""
     if kind is PolicyKind.UNIFORM:
@@ -148,32 +132,19 @@ def _fixed_policy_vectors(kind: PolicyKind, red_part, blue_part, p_o) -> tuple[n
     return xv / xv.sum(), yv / yv.sum()
 
 
-def make_policy(
-    kind: PolicyKind | str,
-    g: ColoredGraph,
-    p_o: np.ndarray | None = None,
-    x: np.ndarray | None = None,
-    y: np.ndarray | None = None,
-) -> ResidualPolicy:
-    """Construct a redistribution policy.
+def make_policy(kind: PolicyKind | str, g: ColoredGraph, p_o: np.ndarray | None = None) -> ResidualPolicy:
+    """One of the fixed redistribution policies.
 
-    ``proportional`` weights each node by its original PageRank ``p_o``;
-    ``optimized`` wraps caller-supplied vectors (see
-    :func:`optimize_residuals` for the search that produces them).
+    ``proportional`` weights each node by its original PageRank ``p_o``.
+    The optimized policy is the result of :func:`optimize_residuals`.
     """
     kind = PolicyKind(kind)
+    if kind is PolicyKind.OPTIMIZED:
+        raise ValueError("the optimized policy comes from optimize_residuals, not make_policy")
     if kind is PolicyKind.NEIGHBORHOOD:
         return ResidualPolicy(kind=kind)
-    if kind is not PolicyKind.OPTIMIZED:
-        x, y = _fixed_policy_vectors(kind, g.red, ~g.red, p_o)
-        return ResidualPolicy(kind=kind, x=x, y=y)
-    if x is None or y is None:
-        raise ValueError("optimized policy needs explicit x and y vectors")
-    return ResidualPolicy(
-        kind=kind,
-        x=_check_group_distribution(x, g.red, "x"),
-        y=_check_group_distribution(y, ~g.red, "y"),
-    )
+    x, y = _fixed_policy_vectors(kind, g.red, ~g.red, p_o)
+    return ResidualPolicy(kind=kind, x=x, y=y)
 
 
 def build_residual_model(g: ColoredGraph, phi: float, policy: ResidualPolicy) -> TransitionModel:
@@ -439,15 +410,16 @@ def targeted_lfpr(
     kind: PolicyKind | str = PolicyKind.NEIGHBORHOOD,
     gamma: float = DEFAULT_GAMMA,
     p_o: np.ndarray | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
-    """PageRank giving the protected part a ``phi`` share of the target set's mass."""
+    """PageRank giving the protected part a ``phi`` share of the target set's mass.
+
+    The solve returns an image ``(1 - gamma) x'M + gamma v'`` of a nonnegative
+    ``x``, so ``p >= gamma v`` for the jump ``v`` of :func:`targeted_jump`, which
+    is positive on S: the target set always receives mass.
+    """
     s_mask, sr_mask = _check_target_sets(g, s, s_r)
     if PolicyKind(kind) is PolicyKind.PROPORTIONAL and p_o is None:
-        p_o = pagerank(standard_transition(g), gamma, tol=tol)
+        p_o = pagerank(standard_transition(g), gamma)
     model = build_targeted_model(g, s_mask, sr_mask, phi, kind, p_o=p_o)
     v = targeted_jump(g, s_mask, sr_mask, phi)
-    p = solve_left(model, check_distribution(v), gamma, tol=tol)
-    if p[s_mask].sum() <= 0.0:
-        raise DegenerateTargetError("target set receives no mass")
-    return p
+    return solve_left(model, check_distribution(v), gamma)

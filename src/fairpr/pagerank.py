@@ -236,13 +236,11 @@ def pagerank(m: TransitionModel, gamma: float = DEFAULT_GAMMA, tol: float = DEFA
     return solve_left(m, check_distribution(v), gamma, tol=tol)
 
 
-def personalized_pagerank(
-    m: TransitionModel, i: int, gamma: float = DEFAULT_GAMMA, tol: float = DEFAULT_TOL
-) -> np.ndarray:
+def personalized_pagerank(m: TransitionModel, i: int, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
     """PageRank personalized to node ``i`` (jump vector = indicator of i)."""
     v = np.zeros(m.n)
     v[i] = 1.0
-    return solve_left(m, check_distribution(v), gamma, tol=tol)
+    return solve_left(m, check_distribution(v), gamma)
 
 
 def absorption_vector(m: TransitionModel, mask: np.ndarray, gamma: float = DEFAULT_GAMMA) -> np.ndarray:

@@ -143,16 +143,6 @@ def test_audit_full_threshold_triggers_sampling(monkeypatch):
     assert audit.nodes.size == 15
 
 
-def test_audit_explicit_sample_and_range_check():
-    rng = np.random.default_rng(6)
-    g = random_colored_graph(rng, 20)
-    m = standard_transition(g)
-    audit = personalized_audit(m, g, sample=np.array([3, 1, 3]))
-    np.testing.assert_array_equal(audit.nodes, [1, 3])
-    with pytest.raises(ValueError):
-        personalized_audit(m, g, sample=np.array([50]))
-
-
 def test_audit_matches_per_node_personalized_runs():
     # the one-backward-solve audit equals literal per-node forward solves
     from fairpr.pagerank import personalized_pagerank

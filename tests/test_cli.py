@@ -197,7 +197,7 @@ def test_rank_targeted(tmp_path, graph_files):
     )
 
 
-def test_rank_usage_errors(tmp_path, graph_files):
+def test_rank_usage_errors(tmp_path, graph_files, capsys):
     edges, colors, _ = graph_files
     # unknown algorithm -> argparse usage failure
     assert main(["rank", "--edges", str(edges), "--colors", str(colors), "--algo", "bogus"]) == 1
@@ -233,6 +233,19 @@ def test_rank_usage_errors(tmp_path, graph_files):
         )
         == 1
     )
+    # targeted runs of an algorithm without a targeted variant, and a node-id file of comments
+    (tmp_path / "sr.txt").write_text("0\n")
+    (tmp_path / "none.txt").write_text("# no ids\n")
+    rank = ["rank", "--edges", str(edges), "--colors", str(colors), "--phi", "0.5", "--out", str(tmp_path)]
+    for algo, target_set, message in (
+        ("opr", "s.txt", "targeted runs are not supported for --algo opr"),
+        ("lfpr-o", "s.txt", "targeted runs are not supported for --algo lfpr-o"),
+        ("lfpr-n", "none.txt", f"{tmp_path / 'none.txt'}: no node ids"),
+    ):
+        targets = ["--target-set", str(tmp_path / target_set), "--target-protected", str(tmp_path / "sr.txt")]
+        capsys.readouterr()
+        assert main([*rank, "--algo", algo, *targets]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_rank_infeasible_fspr_exits_2(tmp_path, graph_files):
@@ -389,8 +402,10 @@ def test_sweep_all_infeasible_exits_2(tmp_path, graph_files):
     assert rows[0]["status"] == "infeasible"
 
 
-def test_sweep_requires_some_input(tmp_path):
+def test_sweep_requires_some_input(tmp_path, graph_files, capsys):
     assert main(["sweep", "--phi", "0.3", "--out", str(tmp_path)]) == 1
+    assert main(["sweep", "--edges", str(graph_files[0]), "--phi", "0.3", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.endswith("error: need both --edges and --colors\n")
 
 
 def _child_python(*args, timeout=None):

@@ -141,6 +141,7 @@ def test_load_graph_rejects_negative_node_id_with_its_line(tmp_path, colors, lin
         (b"1\t0\n0\t1\n1\t1\n1\t0\n0\t1\n", b"0\t1\n1\t0\n", "e.tsv:4: duplicate edge (1, 0)"),
         (b"0\t1\n", b"0\t1\n1\t1\n", "c.tsv: both color groups must be nonempty"),
         (b"0\t1\n0\t1\n", b"0\t0\n1\t0\n", "c.tsv: both color groups must be nonempty"),
+        (b"0\t1\n", b"# no colors\n\n", "c.tsv: no colored nodes"),
     ],
 )
 def test_load_graph_names_the_file_and_line_of_an_invalid_graph(tmp_path, edges, colors, message):

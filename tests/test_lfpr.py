@@ -8,6 +8,7 @@ from fairpr.analysis import lower_bound_loss
 from fairpr.graph import from_edges
 from fairpr.lfpr import (
     PolicyKind,
+    ResidualPolicy,
     _residual_problem,
     _split_rows,
     build_fair_jump,
@@ -141,15 +142,8 @@ def test_make_policy_validation():
     g = from_edges(3, [(0, 1), (1, 2), (2, 0)], [True, False, False])
     with pytest.raises(ValueError):
         make_policy(PolicyKind.PROPORTIONAL, g)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="optimize_residuals"):
         make_policy(PolicyKind.OPTIMIZED, g)
-    with pytest.raises(ValueError):
-        make_policy(PolicyKind.OPTIMIZED, g, x=np.array([1.0, 0, 0]), y=np.array([0, 0.5, 0.5]) * 2)
-    with pytest.raises(ValueError):
-        # x supported off the red group
-        make_policy(PolicyKind.OPTIMIZED, g, x=np.array([0, 1.0, 0]), y=np.array([0, 0.5, 0.5]))
-    p = make_policy(PolicyKind.OPTIMIZED, g, x=np.array([1.0, 0, 0]), y=np.array([0, 0.5, 0.5]))
-    assert p.kind is PolicyKind.OPTIMIZED
 
 
 def test_make_policy_accepts_string_kinds():
@@ -194,7 +188,7 @@ def test_utility_loss_gradient_matches_central_differences(seed):
     p_o = pagerank(standard_transition(g))
     problem = _residual_problem(g, phi, gamma, p_o)
     x, y = (np.where(mask, rng.uniform(0.5, 1.5, g.n), 0.0) for mask in (g.red, ~g.red))
-    policy = make_policy(PolicyKind.OPTIMIZED, g, x=x / x.sum(), y=y / y.sum())
+    policy = ResidualPolicy(PolicyKind.OPTIMIZED, x=x / x.sum(), y=y / y.sum())
     p = lfpr_pagerank(g, phi, policy, gamma, tol=1e-14)
     split = _split_rows(g, np.ones(g.n, dtype=bool), g.red, phi, neighborhood=False)
     u = (1 - gamma) / gamma * ((p @ split.delta_r) * policy.x + (p @ split.delta_b) * policy.y)
@@ -328,6 +322,29 @@ def test_targeted_share_is_exact(kind):
         pr_s = p[s].sum()
         assert pr_s > 0
         assert p[s_r].sum() == pytest.approx(phi * pr_s, abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 50),
+    sink_frac=st.sampled_from([0.2, 0.4]),
+    phi=st.floats(0.05, 0.95),
+    gamma=st.sampled_from([0.05, 0.15, 0.5]),
+    kind=st.sampled_from(KINDS),
+)
+def test_targeted_scores_bound_the_jump_from_below(seed, n, sink_frac, phi, gamma, kind):
+    # p' = (1 - gamma) x'M + gamma v' for a nonnegative x and M, so p >= gamma v,
+    # and S, on which the jump v is positive, always receives mass
+    rng = np.random.default_rng(seed)
+    g = random_colored_graph(rng, n, sink_frac=sink_frac)
+    assert g.sinks.any()
+    s = rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False)
+    s_r = s[: int(rng.integers(1, s.size))]
+    s_mask, sr_mask = np.isin(np.arange(n), s), np.isin(np.arange(n), s_r)
+    p = targeted_lfpr(g, s, s_r, phi, kind=kind, gamma=gamma)
+    assert (p >= gamma * targeted_jump(g, s_mask, sr_mask, phi)).all()
+    assert p[s_mask].sum() >= gamma * s.size / n * (1.0 - 1e-12) > 0.0
 
 
 def test_targeted_model_rows_split_target_mass():
