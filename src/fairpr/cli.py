@@ -27,6 +27,7 @@ LFPR_KINDS = {
     "lfpr-p": lfpr.PolicyKind.PROPORTIONAL,
 }
 ALGOS = ("opr", "fspr", "lfpr-n", "lfpr-u", "lfpr-p", "lfpr-o")
+GRID_FLAGS = ("grid_n", "grid_r", "grid_alpha_red", "grid_alpha_blue", "grid_seeds", "seed")
 
 
 def _load_node_list(path) -> np.ndarray:
@@ -166,17 +167,20 @@ def _sweep_instances(args):
     if args.edges or args.colors:
         if not (args.edges and args.colors):
             raise ValueError("need both --edges and --colors")
+        grid = [f"--{k.replace('_', '-')}" for k in GRID_FLAGS if getattr(args, k) is not None]
+        if grid:
+            raise ValueError(f"{', '.join(grid)}: grid flags do not apply to --edges/--colors")
         yield Path(args.edges).stem, graph.load_graph(args.edges, args.colors)
         return
     if args.grid_n is None:
         raise ValueError("sweep needs either --edges/--colors or a --grid-n synthetic grid")
     from . import synth  # only generating commands pay for the generator's import
     cell = 0
-    for r in args.grid_r:
-        for a_red in args.grid_alpha_red:
-            for a_blue in args.grid_alpha_blue:
-                for s in range(args.grid_seeds):
-                    seed = int(synth.child_seed(args.seed, cell).generate_state(1)[0])
+    for r in args.grid_r or [0.3]:
+        for a_red in args.grid_alpha_red or [0.5]:
+            for a_blue in args.grid_alpha_blue or [0.5]:
+                for s in range(args.grid_seeds or 1):
+                    seed = int(synth.child_seed(args.seed or 0, cell).generate_state(1)[0])
                     cell += 1
                     name = f"synth-r{r}-aR{a_red}-aB{a_blue}-s{s}"
                     try:
@@ -354,12 +358,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--algo", dest="algos", type=_algo_list,
                          default=["fspr", "lfpr-n", "lfpr-u", "lfpr-p"],
                          help="comma-separated algorithms")
-    p_sweep.add_argument("--grid-n", type=int, default=None)
-    p_sweep.add_argument("--grid-r", type=_float_list, default=[0.3])
-    p_sweep.add_argument("--grid-alpha-red", type=_float_list, default=[0.5])
-    p_sweep.add_argument("--grid-alpha-blue", type=_float_list, default=[0.5])
-    p_sweep.add_argument("--grid-seeds", type=_count("grid-seeds"), default=1)
-    p_sweep.add_argument("--seed", type=int, default=0, help="seed of the synthetic grid")
+    # The grid flags default to None, so that a sweep over files can reject them.
+    p_sweep.add_argument("--grid-n", type=int)
+    p_sweep.add_argument("--grid-r", type=_float_list, help="default 0.3")
+    p_sweep.add_argument("--grid-alpha-red", type=_float_list, help="default 0.5")
+    p_sweep.add_argument("--grid-alpha-blue", type=_float_list, help="default 0.5")
+    p_sweep.add_argument("--grid-seeds", type=_count("grid-seeds"), help="default 1")
+    p_sweep.add_argument("--seed", type=int, help="seed of the synthetic grid (default 0)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_audit = sub.add_parser("audit", help="personalized fairness audit")

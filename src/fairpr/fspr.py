@@ -42,23 +42,10 @@ gradient follow by recurrence.  ``L`` is 1.2 times the largest curvature
 vanishes on the range of ``B'``, so a direction with neither curvature nor
 a blocking bound takes the projected step.
 
-Since ``Q A' = I``, the loss gradient at ``u = A p(mu) - w`` is
-``2 (mu + B' nu)``, so every 10 steps the KKT residual of ``x = proj(u)``
-is estimated from projections alone, as the larger of
-``|u - proj(u - 2 (mu + B' nu))|`` and ``|x - u|``.  The best checked point
-goes to the certificate, unless it already went, on each of: that estimate
-below ``tol / 10``; a zero step direction (a zero projected gradient, or a
-conjugate direction that cancelled); no halving of the estimate in 50
-steps, a stall, as near the ends of the attainable range, where the
-estimate overstates the residual of a projected point; the last of
-``max_iters`` steps.  The certificate is one
-forward and one adjoint solve at ``INNER_TOL``, warm-started from ``p(mu)``
-and ``mu + B' nu``, and the KKT residual ``|x - proj(x - grad f(x))|``.  A
-point within ``tol`` is returned; otherwise the dual goes on, and once, at a
-stall whose certificate is no lower than the previous stall's, starts over
-from the multipliers of the certified point.  Each projection is one
-warm-started :func:`fairpr.simplex.project_polyhedron`; one that fails at a
-check skips the check.
+A dual point's ``x = proj(u)`` is certified by one forward and one adjoint
+solve at ``INNER_TOL``, warm-started from ``p(mu)`` and ``mu + B' nu``, and
+the KKT residual ``|x - proj(x - grad f(x))|``; each projection is one
+warm-started :func:`fairpr.simplex.project_polyhedron`.
 """
 
 from __future__ import annotations
@@ -180,19 +167,6 @@ class FsprSolution:
     matvecs: int
 
 
-def _rows(problem: FsprProblem) -> tuple[np.ndarray, np.ndarray]:
-    """``(B, c)`` of the feasible set, raising when a jump vector's is empty."""
-    b, rhs = problem.constraint, problem.rhs
-    if b.ndim == 2:
-        return b, rhs
-    if feasibility_check(b, rhs) is not Feasibility.FEASIBLE:
-        raise InfeasibleError(
-            f"no jump vector attains the target: need {rhs:.6g} "
-            f"within [{float(b.min()):.6g}, {float(b.max()):.6g}]"
-        )
-    return fair_rows(b, rhs)
-
-
 def _projection(b: np.ndarray, rhs: np.ndarray):
     """A projection onto ``{x >= 0, B x = c}``.
 
@@ -208,17 +182,41 @@ def _projection(b: np.ndarray, rhs: np.ndarray):
     return project
 
 
-def _mprgp(problem: FsprProblem, b, rhs, tol: float, max_steps: int, counts: dict, project, project_kkt):
-    """MPRGP on the dual of the module docstring, for at most ``max_steps`` steps.
+def solve_fspr(
+    problem: FsprProblem, tol: float = 1e-8, max_iters: int = 5000
+) -> FsprSolution:
+    """Minimize the score distortion over the problem's feasible set.
 
-    Yields ``(x, p, half, stalled)`` of its best checked point wherever the
-    module docstring sends one to the certificate: the projection of the paid
-    mass ``u = A p - w``, the scores p, ``mu + B' nu`` (half the gradient at
-    u), and whether it stalled.  Resumed, it goes on; sent multipliers mu, it
-    starts over from them.
+    Raises :class:`InfeasibleError` when a jump-vector constraint cannot be
+    met.  Returns the first certified point whose unit-step projected-gradient
+    residual ``|| u - proj(u - grad f(u)) ||_2`` is within ``tol``.  A solve
+    that runs out of its ``max_iters`` dual steps returns its lowest-residual
+    certified point, or the problem's ``start`` where that has the lower loss,
+    flagged non-converged.
     """
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    b, rhs = problem.constraint, problem.rhs
+    if b.ndim == 1:  # the a of B = [1; a], c = (1, rhs)
+        if feasibility_check(b, rhs) is not Feasibility.FEASIBLE:
+            raise InfeasibleError(
+                f"no jump vector attains the target: need {rhs:.6g} "
+                f"within [{float(b.min()):.6g}, {float(b.max()):.6g}]"
+            )
+        b, rhs = fair_rows(b, rhs)
+    project, project_kkt = _projection(b, rhs), _projection(b, rhs)
     model, gamma, p_o = problem.model, problem.gamma, problem.p_o
     shift = np.zeros(model.n) if problem.shift is None else problem.shift
+    counts = {"matvecs": 0, "certificates": 0}
+
+    def certified(x, p, half):
+        """``(kkt, loss, x, scores, grad)`` of x, from a forward and an adjoint solve warm-started at p and half."""
+        counts["certificates"] += 1
+        p = solve_left(model, x if problem.shift is None else x + shift, gamma, tol=INNER_TOL, start=p, counts=counts)
+        grad = 2.0 * solve_right(model, p - p_o, gamma, tol=INNER_TOL, start=half, counts=counts)
+        return float(np.linalg.norm(x - project_kkt(x - grad))), float((p - p_o) @ (p - p_o)), x, p, grad
 
     def through_a(v, apply=model.apply_left):
         """``A v``, the jump under which scores v are the PageRank (``A' v`` by ``apply_right``); one product."""
@@ -244,11 +242,14 @@ def _mprgp(problem: FsprProblem, b, rhs, tol: float, max_steps: int, counts: dic
         """``(mu, z, grad)`` at multipliers mu with ``z = p_o + A'mu``; one product."""
         return mu, z, through_a(z - basis @ (basis.T @ z) + offset) - shift  # u = A p(mu) - w
 
+    # MPRGP on the dual.  checked: the dual's best checked point (x, p(mu),
+    # mu + B'nu) and its KKT estimate; handed: the last one certified; mark: the
+    # estimate at the last halving.  best: the best certified point.
     mu, z, grad = at(np.zeros(model.n), p_o)
     top, lip = 0.0, 1.0  # top: the largest d'Hd / d'd stepped along
-    direction, best, best_est, handed, mark, mark_step = None, None, np.inf, None, np.inf, 0
-    for step in range(1, max_steps + 1):
-        counts["dual"] += 1
+    direction, checked, checked_est, handed, mark, mark_step = None, None, np.inf, None, np.inf, 0
+    best, stall_kkt, restarted = None, np.inf, False
+    for step in range(1, max_iters + 1):
         free = mu > 0.0
         free_grad = np.where(free, grad, 0.0)
         chopped = np.where(free, 0.0, np.minimum(grad, 0.0))
@@ -257,7 +258,9 @@ def _mprgp(problem: FsprProblem, b, rhs, tol: float, max_steps: int, counts: dic
         proportional = chopped @ chopped <= np.minimum(lip * mu, free_grad) @ free_grad
         d = (free_grad if direction is None else direction) if proportional else chopped
         optimal = not d.any()  # a zero projected gradient, or a conjugate direction that cancelled
-        if optimal or step % 10 == 0 or step == max_steps:
+        if optimal or step % 10 == 0 or step == max_iters:
+            # Estimate the KKT residual of x = proj(u) from projections alone: the loss
+            # gradient at u = A p(mu) - w is 2 (mu + B'nu), since Q A' = I.
             coef = basis.T @ z
             p, half = z - basis @ coef + offset, mu + np.linalg.solve(r, level - coef) @ b
             try:
@@ -265,23 +268,39 @@ def _mprgp(problem: FsprProblem, b, rhs, tol: float, max_steps: int, counts: dic
                 est = max(np.linalg.norm(x - grad), np.linalg.norm(grad - project_kkt(grad - 2.0 * half)))
             except ConvergenceError:
                 est = np.inf  # a failed projection skips the check
-            if est < best_est:
-                best, best_est = (x, p, half), est
+            if est < checked_est:
+                checked, checked_est = (x, p, half), est
             stalled = False
-            if best_est <= 0.5 * mark:
-                mark, mark_step = best_est, step
+            if checked_est <= 0.5 * mark:
+                mark, mark_step = checked_est, step
             elif step - mark_step >= 50:
-                stalled, mark_step = True, step  # no halving in 50 steps
-            if (optimal or stalled or best_est <= 0.1 * tol or step == max_steps) and best is not handed:
-                handed = best
-                sent = yield (*best, stalled)
-                if sent is not None:
-                    mu, z, grad = at(sent, p_o + through_a(sent, model.apply_right))
-                    direction, best, best_est, handed, mark, mark_step = None, None, np.inf, None, np.inf, step
-                    continue
+                # No halving in 50 steps, as near the ends of the attainable range,
+                # where the estimate overstates the residual of a projected point.
+                stalled, mark_step = True, step
+            # The best checked point goes to the certificate, once, on a zero direction, a
+            # stall, an estimate below tol / 10 or the last step; within tol, it is returned.
+            if (optimal or stalled or checked_est <= 0.1 * tol or step == max_iters) and checked is not handed:
+                handed = checked
+                point = certified(*checked)
+                best = point if best is None or point[0] < best[0] else best
+                if best[0] <= tol:
+                    break
+                if stalled:
+                    restart = point[0] >= stall_kkt and not restarted
+                    stall_kkt = point[0]
+                    if restart:
+                        # Once, at a stall no better certified than the last, start over from
+                        # x's multipliers: nu fits half the gradient on x's support.
+                        half, support = 0.5 * point[4], point[2] > 0.0
+                        nu = np.linalg.lstsq(b[:, support].T, half[support], rcond=None)[0]
+                        mu = np.maximum(half - nu @ b, 0.0)
+                        mu, z, grad = at(mu, p_o + through_a(mu, model.apply_right))
+                        direction, checked, checked_est, handed, mark, mark_step = None, None, np.inf, None, np.inf, step
+                        restarted = True
+                        continue
         if optimal:
             if direction is None:
-                return  # an exact dual optimum: nothing left to step along
+                break  # an exact dual optimum: nothing left to step along
             direction = None
             continue
         image = hessian(d)
@@ -302,66 +321,20 @@ def _mprgp(problem: FsprProblem, b, rhs, tol: float, max_steps: int, counts: dic
         d = mu - np.maximum(mu - np.where(mu > 0.0, grad, 0.0) / lip, 0.0)
         mu, z, grad = moved(d, 1.0, hessian(d))
         direction = None
-
-
-def solve_fspr(
-    problem: FsprProblem, tol: float = 1e-8, max_iters: int = 5000
-) -> FsprSolution:
-    """Minimize the score distortion over the problem's feasible set.
-
-    Raises :class:`InfeasibleError` when a jump-vector constraint cannot be
-    met.  Returns the first certified point whose unit-step projected-gradient
-    residual ``|| u - proj(u - grad f(u)) ||_2`` is within ``tol``.  A solve
-    that runs out of its ``max_iters`` dual steps returns its lowest-residual
-    certified point, or the problem's ``start`` where that has the lower loss,
-    flagged non-converged.
-    """
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be a positive finite number, got {tol}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
-    b, rhs = _rows(problem)
-    project, project_kkt = _projection(b, rhs), _projection(b, rhs)
-    model, gamma, p_o, shift = problem.model, problem.gamma, problem.p_o, problem.shift
-    counts = {"matvecs": 0, "dual": 0, "certificates": 0}
-
-    def certified(x, p, half):
-        """``(kkt, loss, x, scores, grad)`` of x, from a forward and an adjoint solve warm-started at p and half."""
-        counts["certificates"] += 1
-        p = solve_left(model, x if shift is None else x + shift, gamma, tol=INNER_TOL, start=p, counts=counts)
-        grad = 2.0 * solve_right(model, p - p_o, gamma, tol=INNER_TOL, start=half, counts=counts)
-        return float(np.linalg.norm(x - project_kkt(x - grad))), float((p - p_o) @ (p - p_o)), x, p, grad
-
-    dual = _mprgp(problem, b, rhs, tol, max_iters, counts, project, project_kkt)
-    best, stall_kkt, restarted, restart = None, np.inf, False, None
-    try:
-        while best is None or best[0] > tol:
-            x, p, half, stalled = dual.send(restart)
-            point = certified(x, p, half)
-            best = point if best is None or point[0] < best[0] else best
-            restart = None
-            if stalled:
-                if point[0] >= stall_kkt and not restarted:
-                    # Start over from x's multipliers: nu fits half the gradient on x's support.
-                    half = 0.5 * point[4]
-                    nu = np.linalg.lstsq(b[:, x > 0.0].T, half[x > 0.0], rcond=None)[0]
-                    restart, restarted = np.maximum(half - nu @ b, 0.0), True
-                stall_kkt = point[0]
-    except StopIteration:  # out of steps: the start, where given, if its loss is the lower
-        if best is None or problem.start is not None:
-            start = project(np.full(model.n, 1.0 / model.n)) if problem.start is None else problem.start
-            point = certified(start, problem.start_scores, None)
-            best = point if best is None or point[1] < best[1] else best
+    if best is None or (best[0] > tol and problem.start is not None):
+        # Out of steps, or at an exact dual optimum: the start, where given, if its loss is the lower.
+        start = project(np.full(model.n, 1.0 / model.n)) if problem.start is None else problem.start
+        point = certified(start, problem.start_scores, None)
+        best = point if best is None or point[1] < best[1] else best
     kkt, loss, x, scores, _ = best
-    a, rhs = problem.constraint, problem.rhs
     return FsprSolution(
         x=x,
         scores=scores,
         loss=loss,
         achieved_fairness=None if problem.q_r is None else float(x @ problem.q_r),
-        constraint_residual=float(np.abs(a @ x - rhs).max()),
+        constraint_residual=float(np.abs(problem.constraint @ x - problem.rhs).max()),
         kkt_residual=kkt,
-        iterations=counts["dual"],
+        iterations=step,
         converged=kkt <= tol,
         certificates=counts["certificates"],
         matvecs=counts["matvecs"],

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import fairpr
 from fairpr.cli import _policy_json, main
-from fairpr.graph import load_graph, save_graph
+from fairpr.graph import _int_rows, load_graph, save_graph
 from fairpr.lfpr import PolicyKind, ResidualPolicy
 from fairpr.pagerank import DEFAULT_GAMMA, standard_transition
 from fairpr.synth import SynthConfig, generate
@@ -406,6 +406,18 @@ def test_sweep_requires_some_input(tmp_path, graph_files, capsys):
     assert main(["sweep", "--phi", "0.3", "--out", str(tmp_path)]) == 1
     assert main(["sweep", "--edges", str(graph_files[0]), "--phi", "0.3", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.endswith("error: need both --edges and --colors\n")
+    # grid flags beside graph files would be silently ignored; each is named, the default values too
+    files = ["--edges", str(graph_files[0]), "--colors", str(graph_files[1])]
+    for grid, named in (
+        (["--grid-n", "50", "--grid-r", "0.9", "--seed", "3"], "--grid-n, --grid-r, --seed"),
+        (["--grid-alpha-red", "0.5", "--grid-alpha-blue", "0.5", "--grid-seeds", "1"],
+         "--grid-alpha-red, --grid-alpha-blue, --grid-seeds"),
+        (["--seed", "0"], "--seed"),
+    ):
+        argv = ["sweep", *files, *grid, "--phi", "0.3", "--algo", "lfpr-u", "--out", str(tmp_path / "grid")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {named}: grid flags do not apply to --edges/--colors\n"
+    assert not (tmp_path / "grid").exists()
 
 
 def _child_python(*args, timeout=None):
@@ -588,6 +600,35 @@ def test_malformed_target_node_id_names_its_file_and_line(tmp_path, graph_files,
     )
     assert rc == 1
     assert f"{tmp_path / 's.txt'}:4: node id must be an integer, got 'x1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        lambda ids: "# node ids\n" + "".join(f"{i}\n" for i in ids),  # a comment
+        lambda ids: f"{ids[0]}\n\n" + "".join(f"{i}\n" for i in ids[1:]),  # a blank line
+        lambda ids: "".join(f"{i}\r\n" for i in ids),  # \r\n endings
+        lambda ids: "\n".join(map(str, ids)),  # no final newline
+        lambda ids: "".join(f"+{i}\n" for i in ids),  # a + sign
+    ],
+    ids=["comment", "blank-line", "crlf", "no-final-newline", "plus-sign"],
+)
+def test_target_files_for_the_line_parser_give_the_strict_files_report(tmp_path, graph_files, layout):
+    # files the strict reader declines go to the line parser, which reads the same ids
+    edges, colors, g = graph_files
+    s = np.arange(16)
+    reports = []
+    for name, text in (("strict", lambda ids: "".join(f"{i}\n" for i in ids)), ("loose", layout)):
+        files = {"s": tmp_path / f"{name}-s.txt", "sr": tmp_path / f"{name}-sr.txt"}
+        files["s"].write_bytes(text(s.tolist()).encode())
+        files["sr"].write_bytes(text(s[g.red[s]].tolist()).encode())
+        assert (_int_rows(files["s"], 1) is None) == (name == "loose")
+        assert (_int_rows(files["sr"], 1) is None) == (name == "loose")
+        argv = ["rank", "--edges", str(edges), "--colors", str(colors), "--algo", "lfpr-u", "--phi", "0.5",
+                "--target-set", str(files["s"]), "--target-protected", str(files["sr"]), "--out", str(tmp_path / name)]
+        assert main(argv) == 0
+        reports.append((tmp_path / name / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("option", ["--target-set", "--target-protected"])

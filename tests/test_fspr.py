@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -417,3 +418,33 @@ def test_a_zero_direction_costs_no_products(monkeypatch):
         monkeypatch.setattr(TransitionModel, name, lambda self, v, f=product: zero.append(not v.any()) or f(self, v))
     sol = solve_fspr(prob)
     assert sol.converged and len(zero) == sol.matvecs > 0 and not any(zero)
+
+
+def test_an_exact_dual_optimum_that_fails_its_certificate_ends_the_dual():
+    # tol below the certificate's own rounding (its KKT residual is ~1e-16): the
+    # exact optimum at the first step fails, and with nothing left to step along
+    # the dual stops there.  A problem's start is then certified too; it loses.
+    g = random_colored_graph(np.random.default_rng(1), 30)
+    m = standard_transition(g)
+    p_o = pagerank(m)
+    prob = fspr_problem(m, g, float(p_o @ g.red), p_o=p_o)
+    sol = solve_fspr(prob, tol=1e-18)
+    assert sol.iterations == 1 and sol.certificates == 1 and not sol.converged
+    started = solve_fspr(replace(prob, start=two_point_jump(prob.q_r, prob.phi)), tol=1e-18)
+    assert started.iterations == 1 and started.certificates == 2 and started.loss == sol.loss
+    np.testing.assert_array_equal(started.x, sol.x)
+
+
+def test_a_cancelled_direction_that_fails_its_certificate_steps_on():
+    # test_a_zero_direction_costs_no_products's problem at a tol below its
+    # certificate's rounding: the conjugate direction cancels at step 3, that
+    # point fails, and the dual drops the direction and steps on to its budget;
+    # the point certified at step 3 stays the best
+    g = random_colored_graph(np.random.default_rng(71590), 4, red_frac=0.5)
+    m = standard_transition(g)
+    prob = fspr_problem(m, g, 0.3828125, p_o=pagerank(m))
+    stopped = solve_fspr(prob)
+    assert stopped.iterations == 3 and stopped.certificates == 1
+    sol = solve_fspr(prob, tol=1e-16, max_iters=40)
+    assert sol.iterations == 40 and not sol.converged
+    assert sol.kkt_residual == stopped.kkt_residual and sol.loss == stopped.loss

@@ -144,6 +144,19 @@ def test_make_policy_validation():
         make_policy(PolicyKind.PROPORTIONAL, g)
     with pytest.raises(ValueError, match="optimize_residuals"):
         make_policy(PolicyKind.OPTIMIZED, g)
+    # scores that give the red group (node 0) no mass, or the blue group none
+    for p_o in ([0.0, 0.5, 0.5], [1.0, -0.0, 0.0]):
+        with pytest.raises(ValueError, match="a group has zero score mass"):
+            make_policy(PolicyKind.PROPORTIONAL, g, p_o=np.array(p_o))
+
+
+@pytest.mark.parametrize("kind", [PolicyKind.UNIFORM, PolicyKind.PROPORTIONAL, PolicyKind.OPTIMIZED])
+def test_a_distribution_policy_without_its_vectors_is_rejected(kind):
+    g = from_edges(3, [(0, 1), (1, 2), (2, 0)], [True, False, False])
+    x = make_policy(PolicyKind.UNIFORM, g).x
+    for policy in (ResidualPolicy(kind), ResidualPolicy(kind, x=x)):
+        with pytest.raises(ValueError, match=f"{kind.value} policy is missing its x/y vectors"):
+            build_residual_model(g, 0.5, policy)
 
 
 def test_make_policy_accepts_string_kinds():
