@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ColoredGraph
+from .graph import ColoredGraph, _check_target_sets
 from .pagerank import DEFAULT_GAMMA, TransitionModel, _check_phi, absorption_vector
 from .simplex import project_fair_simplex
 
@@ -165,36 +165,24 @@ def personalized_audit(
     )
 
 
-@dataclass(frozen=True)
-class FairnessReport:
-    phi: float
-    gamma: float
-    red_mass: float
-    fair: bool
-    loss: float
-    lower_bound_loss: float
+def make_report(scores, p_o, g: ColoredGraph, phi=None, gamma=DEFAULT_GAMMA, targets=None) -> dict:
+    """report.json's fairness fields of ``scores``; ``phi = None`` means the red node share.
 
-
-def make_report(
-    scores: np.ndarray,
-    p_o: np.ndarray,
-    g: ColoredGraph,
-    phi: float,
-    gamma: float = DEFAULT_GAMMA,
-    lower_bound: float | None = None,
-) -> FairnessReport:
-    """Fairness and loss of ``scores``; ``lower_bound`` defaults to the global bound."""
+    ``targets``, the node ids ``(S, S_R)``, judges ``fair`` and the lower bound
+    on ``PR(S_R) = phi PR(S)`` and adds the two target masses and the residual.
+    """
+    phi = g.n_red / g.n if phi is None else phi
     mass = red_mass(scores, g)
-    if lower_bound is None:
-        lower_bound = lower_bound_loss(p_o, g, phi)
-    return FairnessReport(
-        phi=float(phi),
-        gamma=float(gamma),
-        red_mass=mass,
-        fair=bool(abs(mass - phi) <= FAIRNESS_TOL),
-        loss=utility_loss(scores, p_o),
-        lower_bound_loss=lower_bound,
-    )
+    report = {"phi": float(phi), "gamma": float(gamma), "red_mass": mass, "loss": utility_loss(scores, p_o)}
+    if targets is None:
+        return {**report, "fair": bool(abs(mass - phi) <= FAIRNESS_TOL),
+                "lower_bound_loss": lower_bound_loss(p_o, g, phi)}
+    s_mask, sr_mask = _check_target_sets(g, *targets)
+    target_mass, protected_mass = float(scores[s_mask].sum()), float(scores[sr_mask].sum())
+    residual = abs(protected_mass - phi * target_mass)
+    bound = targeted_lower_bound_loss(p_o, s_mask, sr_mask, phi)
+    return {**report, "fair": bool(residual <= FAIRNESS_TOL), "lower_bound_loss": bound,
+            "target_mass": target_mass, "protected_target_mass": protected_mass, "targeted_residual": residual}
 
 
 def write_json(path, payload: dict) -> None:

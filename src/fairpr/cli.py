@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -30,22 +29,12 @@ ALGOS = ("opr", "fspr", "lfpr-n", "lfpr-u", "lfpr-p", "lfpr-o")
 GRID_FLAGS = ("grid_n", "grid_r", "grid_alpha_red", "grid_alpha_blue", "grid_seeds", "seed")
 
 
-def _load_node_list(path) -> np.ndarray:
-    rows = graph._int_rows(path, 1)
-    if rows is not None:
-        return rows[:, 0]
-    nodes = []
-    for lineno, line in graph._parse_lines(path):
-        try:
-            node = int(line)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: node id must be an integer, got {line!r}") from None
-        if not -(2**63) <= node < 2**63:  # beyond int64, so beyond every graph
-            raise ValueError(f"{path}:{lineno}: node id out of range, got {line!r}")
-        nodes.append(node)
-    if not nodes:
-        raise ValueError(f"{path}: no node ids")
-    return np.asarray(nodes, dtype=np.int64)
+def _solver_flags(args, algos) -> None:
+    """Reject ``--tol`` and ``--iters`` where no algorithm of the run reads them; else fill their defaults."""
+    given = [f"--{k}" for k in ("tol", "iters") if getattr(args, k) is not None]
+    if given and not {"fspr", "lfpr-o"} & set(algos):
+        raise ValueError(f"{', '.join(given)}: only --algo fspr and lfpr-o read them")
+    args.tol, args.iters = args.tol or 1e-8, args.iters or 5000  # a given value is positive
 
 
 def _require_phi(phi):
@@ -123,6 +112,7 @@ def _policy_json(policy) -> str:
 
 
 def cmd_rank(args) -> int:
+    _solver_flags(args, [args.algo])
     g = graph.load_graph(args.edges, args.colors)
     gamma = args.gamma
     p_o = pagerank(standard_transition(g), gamma)
@@ -130,20 +120,10 @@ def cmd_rank(args) -> int:
     if args.target_set or args.target_protected:
         if not (args.target_set and args.target_protected):
             raise ValueError("targeted runs need both --target-set and --target-protected")
-        targets = (_load_node_list(args.target_set), _load_node_list(args.target_protected))
+        targets = (graph.load_node_ids(args.target_set), graph.load_node_ids(args.target_protected))
 
     scores, extras, policy = _rank_once(g, args.algo, args, args.phi, p_o, gamma, targets)
-    phi = args.phi if args.phi is not None else g.n_red / g.n
-    bound = None  # the global bound, unless the run is targeted
-    if targets is not None:
-        s_mask, sr_mask = graph._check_target_sets(g, *targets)
-        bound = analysis.targeted_lower_bound_loss(p_o, s_mask, sr_mask, phi)
-        target_mass = float(scores[s_mask].sum())
-        protected_mass = float(scores[sr_mask].sum())
-        residual = abs(protected_mass - phi * target_mass)
-        extras.update(target_mass=target_mass, protected_target_mass=protected_mass,
-                      targeted_residual=residual, fair=bool(residual <= analysis.FAIRNESS_TOL))
-    report = analysis.make_report(scores, p_o, g, phi, gamma, lower_bound=bound)
+    report = analysis.make_report(scores, p_o, g, args.phi, gamma, targets)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -155,10 +135,10 @@ def cmd_rank(args) -> int:
             fh.write("node,jump_prob,score\n" + "".join(rows))
     if policy is not None:
         (out / "policy.json").write_text(_policy_json(policy), encoding="utf-8")
-    analysis.write_json(out / "report.json", {**asdict(report), **extras})
+    analysis.write_json(out / "report.json", {**report, **extras})
     print(
-        f"{args.algo}: red_mass={report.red_mass:.6f} loss={report.loss:.6e} "
-        f"lower_bound_loss={report.lower_bound_loss:.6e}"
+        f"{args.algo}: red_mass={report['red_mass']:.6f} loss={report['loss']:.6e} "
+        f"lower_bound_loss={report['lower_bound_loss']:.6e}"
     )
     return 0
 
@@ -191,6 +171,7 @@ def _sweep_instances(args):
 
 
 def cmd_sweep(args) -> int:
+    _solver_flags(args, args.algos)
     gamma = args.gamma
     rows = []
     ok_rows = 0
@@ -242,6 +223,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    _solver_flags(args, [args.algo])
     g = graph.load_graph(args.edges, args.colors)
     model = standard_transition(g)
     if args.algo != "opr":
@@ -339,9 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
             return
         p.add_argument("--edges", required=graph == "required", help="edge TSV: src<TAB>dst")
         p.add_argument("--colors", required=graph == "required", help="color TSV: node<TAB>{0|1}, 1 = red")
-        p.add_argument("--tol", type=_tolerance, default=1e-8, help="solver tolerance")
-        p.add_argument("--iters", type=_count("iters"), default=5000,
-                       help="budget of dual steps of the fspr and lfpr-o solver")
+        # Both default to None, so that a run without fspr or lfpr-o can reject them.
+        p.add_argument("--tol", type=_tolerance, help="fspr and lfpr-o solver tolerance (default 1e-8)")
+        p.add_argument("--iters", type=_count("iters"), help="fspr and lfpr-o budget of dual steps (default 5000)")
 
     p_rank = sub.add_parser("rank", help="compute one fair ranking")
     common(p_rank)

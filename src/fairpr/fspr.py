@@ -319,7 +319,8 @@ def solve_fspr(
         if blocking.any():
             mu, z, grad = moved(d, feasible, image)
         d = mu - np.maximum(mu - np.where(mu > 0.0, grad, 0.0) / lip, 0.0)
-        mu, z, grad = moved(d, 1.0, hessian(d))
+        if d.any():  # a zero step would spend its two products on zero vectors
+            mu, z, grad = moved(d, 1.0, hessian(d))
         direction = None
     if best is None or (best[0] > tol and problem.start is not None):
         # Out of steps, or at an exact dual optimum: the start, where given, if its loss is the lower.

@@ -1,4 +1,4 @@
-"""Node-colored directed graphs: loading, validation, and the summary CSV.
+"""Node-colored directed graphs: loading, validation, node-id files, and the summary CSV.
 
 Nodes carry a binary color (red = protected group, blue = the rest) and are
 identified by dense integer ids ``0..n-1``.  Adjacency is stored CSR-style so
@@ -186,6 +186,28 @@ def _int_rows(path, columns: int) -> np.ndarray | None:
     if widths.min() < 1 or widths.max() > _MAX_DIGITS:
         return None
     return np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, columns)  # " " matches tab and \n
+
+
+def load_node_ids(path) -> np.ndarray:
+    """The int64 ids of a node-id file, one a line (``#`` starts a comment), in file order.
+
+    A malformed file raises ``ValueError`` naming its ``path:line``, or its ``path`` if it has no ids.
+    """
+    rows = _int_rows(path, 1)
+    if rows is not None:
+        return rows[:, 0]
+    nodes = []
+    for lineno, line in _parse_lines(path):
+        try:
+            node = int(line)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: node id must be an integer, got {line!r}") from None
+        if not -(2**63) <= node < 2**63:  # beyond int64, so beyond every graph
+            raise ValueError(f"{path}:{lineno}: node id out of range, got {line!r}")
+        nodes.append(node)
+    if not nodes:
+        raise ValueError(f"{path}: no node ids")
+    return np.asarray(nodes, dtype=np.int64)
 
 
 def _load_strict(edge_path, color_path) -> ColoredGraph | None:

@@ -1,5 +1,4 @@
 import json
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -162,12 +161,30 @@ def test_report_round_trip(tmp_path):
     g = random_colored_graph(rng, 25)
     p_o = pagerank(standard_transition(g))
     report = make_report(p_o, p_o, g, phi=red_mass(p_o, g))
-    assert report.fair and report.loss == 0.0
-    write_json(tmp_path / "r.json", {**asdict(report), "algorithm": "opr"})
+    assert report["fair"] and report["loss"] == 0.0
+    write_json(tmp_path / "r.json", {**report, "algorithm": "opr"})
     payload = json.loads((tmp_path / "r.json").read_text())
     assert payload["algorithm"] == "opr"
-    assert payload["red_mass"] == report.red_mass
+    assert payload["red_mass"] == report["red_mass"]
     assert list(payload) == sorted(payload)
+
+
+def test_global_report_is_the_targeted_one_at_all_nodes_and_red():
+    # PR(S_R) = phi PR(S) at S = all nodes and S_R = red is the global constraint;
+    # phi = None is the red node share in both.
+    g = random_colored_graph(np.random.default_rng(12), 30, sink_frac=0.2)
+    p_o = pagerank(standard_transition(g))
+    for phi, scores in ((None, p_o), (0.3, lower_bound_vector(p_o, g, 0.3))):
+        report = make_report(scores, p_o, g, phi)
+        targeted = make_report(scores, p_o, g, phi, targets=(np.arange(g.n), g.red_nodes()))
+        assert targeted.keys() - report.keys() == {"target_mass", "protected_target_mass", "targeted_residual"}
+        assert {k: targeted[k] for k in report} == report
+        assert targeted["protected_target_mass"] == report["red_mass"]
+        assert targeted["target_mass"] == pytest.approx(1.0, abs=1e-12)
+    assert report["fair"] and report["phi"] == 0.3
+    assert make_report(p_o, p_o, g)["phi"] == g.n_red / g.n
+    with pytest.raises(ValueError, match="protected target subset must lie inside the target set"):
+        make_report(p_o, p_o, g, 0.3, targets=(g.blue_nodes(), g.red_nodes()))
 
 
 def test_audit_csv_outputs(tmp_path):

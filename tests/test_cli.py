@@ -670,6 +670,23 @@ def test_meaningless_iteration_budget_is_rejected_by_every_subcommand(tmp_path, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["rank", "--algo", "lfpr-u", "--phi", "0.3", "--iters", "3", "--tol", "0.5"], "--tol, --iters"),
+        (["rank", "--algo", "opr", "--tol", "0.5", "--iters", "2"], "--tol, --iters"),
+        (["audit", "--algo", "lfpr-n", "--phi", "0.3", "--tol", "0.5"], "--tol"),
+        (["sweep", "--algo", "lfpr-n", "--phi", "0.3", "--iters", "1"], "--iters"),
+    ],
+)
+def test_solver_flags_without_a_solver_that_reads_them_exit_1(tmp_path, graph_files, capsys, argv, named):
+    # only fspr and lfpr-o read --tol and --iters; elsewhere they would be silently ignored
+    edges, colors, _ = graph_files
+    assert main([*argv, "--edges", str(edges), "--colors", str(colors), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {named}: only --algo fspr and lfpr-o read them\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["rank", "audit"])
 def test_unconverged_lfpr_o_warns_but_keeps_its_outputs(tmp_path, graph_files, capsys, command):
     edges, colors, _ = graph_files

@@ -435,16 +435,22 @@ def test_an_exact_dual_optimum_that_fails_its_certificate_ends_the_dual():
     np.testing.assert_array_equal(started.x, sol.x)
 
 
-def test_a_cancelled_direction_that_fails_its_certificate_steps_on():
+def test_a_cancelled_direction_that_fails_its_certificate_steps_on(monkeypatch):
     # test_a_zero_direction_costs_no_products's problem at a tol below its
     # certificate's rounding: the conjugate direction cancels at step 3, that
     # point fails, and the dual drops the direction and steps on to its budget;
-    # the point certified at step 3 stays the best
+    # the point certified at step 3 stays the best.  Stuck there, the expansion's
+    # projected-gradient step is exactly zero, and it costs no products.
     g = random_colored_graph(np.random.default_rng(71590), 4, red_frac=0.5)
     m = standard_transition(g)
     prob = fspr_problem(m, g, 0.3828125, p_o=pagerank(m))
     stopped = solve_fspr(prob)
     assert stopped.iterations == 3 and stopped.certificates == 1
+    zero = []
+    for name in ("apply_left", "apply_right"):
+        product = getattr(TransitionModel, name)
+        monkeypatch.setattr(TransitionModel, name, lambda self, v, f=product: zero.append(not v.any()) or f(self, v))
     sol = solve_fspr(prob, tol=1e-16, max_iters=40)
-    assert sol.iterations == 40 and not sol.converged
+    assert sol.iterations == 40 and not sol.converged and sol.certificates == 1
     assert sol.kkt_residual == stopped.kkt_residual and sol.loss == stopped.loss
+    assert len(zero) == sol.matvecs > 0 and not any(zero)

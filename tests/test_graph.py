@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import random_colored_graph
-from fairpr import cli, graph
+from fairpr import graph
 from fairpr.errors import GraphError
 from fairpr.graph import (
     from_edges,
     load_graph,
+    load_node_ids,
     save_graph,
     write_summary_csv,
 )
@@ -79,7 +80,7 @@ def test_saved_graph_and_target_set_load_without_the_line_parser(tmp_path, monke
     assert np.array_equal(g.indices, h.indices)
     assert np.array_equal(g.red, h.red)
     (tmp_path / "s.txt").write_text("".join(f"{i}\n" for i in range(0, g.n, 7)))
-    assert cli._load_node_list(tmp_path / "s.txt").tolist() == list(range(0, g.n, 7))
+    assert load_node_ids(tmp_path / "s.txt").tolist() == list(range(0, g.n, 7))
 
 
 def test_from_edges_sorts_only_out_of_order_input():

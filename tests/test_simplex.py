@@ -1,11 +1,14 @@
+import inspect
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fairpr import simplex
-from fairpr.errors import InfeasibleError
-from fairpr.simplex import project_fair_simplex, project_simplex
+from fairpr.errors import ConvergenceError, InfeasibleError
+from fairpr.simplex import project_fair_simplex, project_polyhedron, project_simplex
 
 
 def fit_multipliers(z, a, x):
@@ -216,6 +219,41 @@ def test_fair_projection_infeasible_target_raises():
         project_fair_simplex(np.array([0.5, 0.5]), a, 0.7)
     with pytest.raises(InfeasibleError):
         project_fair_simplex(np.array([0.5, 0.5]), a, 0.1)
+
+
+def test_polyhedron_projection_that_stalls_short_of_its_set_raises():
+    # no x >= 0 sums to -1: the support empties, no step moves the multiplier,
+    # and B x = c still misses by 1 / sqrt(3) on the unit row
+    with pytest.raises(ConvergenceError, match=r"^polyhedron projection stalled with \|Bx - c\| = 5\.774e-01$"):
+        project_polyhedron(np.zeros(3), np.array([[1.0, 1.0, 1.0]]), np.array([-1.0]))
+
+
+def test_a_line_search_that_exhausts_its_bracket_still_ends_on_the_vertex():
+    # The third Newton step's line minimum sits on the breakpoint where x_2 leaves
+    # the support.  Newton steps from beside it overshoot, and the derivative there
+    # is ~1e-15 of its scale, so the search bisects to two adjacent floats and
+    # returns the lower one.
+    lines = []
+    code = simplex._line_minimum.__code__
+    exhausted = code.co_firstlineno + next(
+        i for i, line in enumerate(inspect.getsource(code).splitlines()) if "bracket exhausted" in line
+    )
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        lines.append(frame.f_lineno)
+        return trace
+
+    z, a = np.array([1e6, -1.2e7, 3e6, -8e6, 4e6]), np.array([1.0, -4.0, 1.0, 1.0, 0.0])
+    old = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        x = project_fair_simplex(z, a, 0.0)
+    finally:
+        sys.settrace(old)
+    assert exhausted in lines
+    assert x.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
 
 
 def test_fair_projection_beats_other_feasible_points():
