@@ -3,8 +3,7 @@ r"""Fairness metrics, the utility-loss lower bound, and per-node audits.
 No fair vector is closer to the original scores than the Euclidean
 projection of ``p_o`` onto the fair distributions, which
 ``lower_bound_vector`` computes with one ``project_fair_simplex`` call.
-The global bound is the targeted one at S = all nodes and S_R = red, so
-``targeted_lower_bound_loss`` runs the same projection.
+The global bound is the targeted one at S = all nodes and S_R = red.
 
 The personalized audit asks a stronger question than aggregate fairness:
 whose personal jump vector would be treated fairly?  For node ``i`` with
@@ -44,35 +43,21 @@ def utility_loss(f: np.ndarray, p_o: np.ndarray) -> float:
     return float(diff @ diff)
 
 
-def lower_bound_vector(p_o: np.ndarray, g: ColoredGraph, phi: float) -> np.ndarray:
+def lower_bound_vector(p_o: np.ndarray, g: ColoredGraph, phi: float, s_mask=None, sr_mask=None) -> np.ndarray:
     """Fair vector closest to ``p_o``: the least possible utility loss.
 
-    The projection of ``p_o`` onto ``{w >= 0, sum w = 1, red mass = phi}``,
-    which is the targeted projection at S = all nodes and S_R = red.
+    Every score vector ``w`` giving S_R a ``phi`` share of S's mass satisfies
+    ``w >= 0``, ``sum w = 1`` and ``(1_SR - phi 1_S)' w = 0``, so the
+    projection of ``p_o`` onto that set loses no more than any of them.  The
+    masks default to the global case, S = all nodes and S_R = red.
     """
-    return _fair_projection(p_o, np.ones(g.n, dtype=bool), g.red, _check_phi(phi))
+    s = np.ones(g.n) if s_mask is None else s_mask.astype(float)
+    sr = g.red if sr_mask is None else sr_mask
+    return project_fair_simplex(p_o, sr.astype(float) - _check_phi(phi) * s, 0.0)
 
 
 def lower_bound_loss(p_o: np.ndarray, g: ColoredGraph, phi: float) -> float:
     return utility_loss(lower_bound_vector(p_o, g, phi), p_o)
-
-
-def targeted_lower_bound_loss(
-    p_o: np.ndarray, s_mask: np.ndarray, sr_mask: np.ndarray, phi: float
-) -> float:
-    """Least loss of any distribution giving S_R a ``phi`` share of S's mass.
-
-    Every targeted-fair score vector ``w`` satisfies ``w >= 0``,
-    ``sum w = 1`` and ``(1_SR - phi 1_S)' w = 0``, so the projection of
-    ``p_o`` onto that set loses no more than any of them.
-    """
-    return utility_loss(_fair_projection(p_o, s_mask, sr_mask, phi), p_o)
-
-
-def _fair_projection(p_o, s_mask, sr_mask, phi) -> np.ndarray:
-    """Projection of ``p_o`` onto ``{w >= 0, sum w = 1, (1_SR - phi 1_S)' w = 0}``."""
-    a = sr_mask.astype(float) - phi * s_mask.astype(float)
-    return project_fair_simplex(p_o, a, 0.0)
 
 
 def converse_check(m: TransitionModel, g: ColoredGraph, phi: float) -> bool:
@@ -180,7 +165,7 @@ def make_report(scores, p_o, g: ColoredGraph, phi=None, gamma=DEFAULT_GAMMA, tar
     s_mask, sr_mask = _check_target_sets(g, *targets)
     target_mass, protected_mass = float(scores[s_mask].sum()), float(scores[sr_mask].sum())
     residual = abs(protected_mass - phi * target_mass)
-    bound = targeted_lower_bound_loss(p_o, s_mask, sr_mask, phi)
+    bound = utility_loss(lower_bound_vector(p_o, g, phi, s_mask, sr_mask), p_o)
     return {**report, "fair": bool(residual <= FAIRNESS_TOL), "lower_bound_loss": bound,
             "target_mass": target_mass, "protected_target_mass": protected_mass, "targeted_residual": residual}
 

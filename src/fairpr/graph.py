@@ -159,6 +159,14 @@ def _parse_lines(path):
             yield lineno, line
 
 
+def _int(field: str) -> int:
+    """``int(field)`` without the ``_`` and non-ASCII digits ``int()`` also reads; a sign
+    and surrounding spaces stay accepted."""
+    if not field.isascii() or "_" in field:
+        raise ValueError(field)
+    return int(field)
+
+
 _STRICT_BYTES = b"0123456789\t\n"
 _MAX_DIGITS = 18  # every such field fits in int64
 
@@ -199,7 +207,7 @@ def load_node_ids(path) -> np.ndarray:
     nodes = []
     for lineno, line in _parse_lines(path):
         try:
-            node = int(line)
+            node = _int(line)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: node id must be an integer, got {line!r}") from None
         if not -(2**63) <= node < 2**63:  # beyond int64, so beyond every graph
@@ -258,7 +266,7 @@ def _load_lines(edge_path, color_path) -> ColoredGraph:
         if len(parts) != 2:
             raise GraphError(f"{color_path}:{lineno}: expected node<TAB>color")
         try:
-            node, color = int(parts[0]), int(parts[1])
+            node, color = _int(parts[0]), _int(parts[1])
         except ValueError:
             raise GraphError(f"{color_path}:{lineno}: non-integer token") from None
         if node < 0:
@@ -282,7 +290,7 @@ def _load_lines(edge_path, color_path) -> ColoredGraph:
         if len(parts) != 2:
             raise GraphError(f"{edge_path}:{lineno}: expected src<TAB>dst")
         try:
-            edge = int(parts[0]), int(parts[1])
+            edge = _int(parts[0]), _int(parts[1])
         except ValueError:
             raise GraphError(f"{edge_path}:{lineno}: non-integer token") from None
         for endpoint in edge:

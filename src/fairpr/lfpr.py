@@ -20,8 +20,8 @@ its ``kkt_residual`` is measured in u.
 The global model is the targeted model at S = all nodes and S_R = red:
 targeted fairness splits only the mass a row sends into a target set S,
 giving the protected part S_R a ``phi`` share of it.  One routine,
-``_split_rows``, does this split for both; the global builders call it
-with S = all nodes.
+``_split_rows``, does this split for both, and :func:`residual_decompose`
+is its split at S = all nodes.
 """
 
 from __future__ import annotations
@@ -57,38 +57,37 @@ class PolicyKind(str, Enum):
 
 @dataclass(frozen=True)
 class ResidualDecomposition:
-    """Split of the standard transitions into neutral part plus residuals.
+    """A ``phi``-fair split of the rows into a per-edge ``base`` plus owed mass.
 
-    ``base`` keeps, for each non-sink node, the largest per-edge share that
-    stays within the node's group quotas; ``delta_red[i]`` is the leftover
-    probability node ``i`` owes the red group (positive exactly when the
-    red share of its out-neighbors falls short of ``phi``), and
-    symmetrically for ``delta_blue``.  Sinks owe everything: ``phi`` to
-    red and ``1 - phi`` to blue, with an empty base row.  For every row,
-    ``base`` red mass + ``delta_red`` equals ``phi`` exactly.
+    ``delta_red[i]`` is what row ``i`` still owes S_R, ``delta_blue[i]`` what
+    it owes S_B = S - S_R, and ``rest`` the sinks' jump outside S.  The
+    decomposition split keeps, in row ``i``, the largest per-edge share
+    ``rho[i]`` within both quotas; ``short`` marks the rows whose neighbors in
+    S_R fall short of a ``phi`` share, which owe S_R; the neighborhood split
+    leaves both ``None``.  Sinks owe everything.  At S = all nodes, ``base``
+    red mass + ``delta_red`` is ``phi`` in every row.
     """
 
     base: SparseRows
     delta_red: np.ndarray
     delta_blue: np.ndarray
-    rho_red: np.ndarray
-    rho_blue: np.ndarray
-    short_red: np.ndarray
-    short_blue: np.ndarray
+    rest: tuple
+    rho: np.ndarray | None = None
+    short: np.ndarray | None = None
+
+    @property
+    def rho_red(self) -> np.ndarray:
+        return np.where(self.short, self.rho, 0.0)
+
+    def model(self, x: np.ndarray, y: np.ndarray) -> TransitionModel:
+        """The transitions with the owed mass spread by ``x`` over S_R and ``y`` over S_B."""
+        owed = tuple((d, t) for d, t in ((self.delta_red, x), (self.delta_blue, y)) if d.any())
+        return TransitionModel(self.base, owed + self.rest)
 
 
 def residual_decompose(g: ColoredGraph, phi: float) -> ResidualDecomposition:
-    phi = _check_phi(phi)
-    split = _split_rows(g, _everyone(g), g.red, phi, neighborhood=False)
-    return ResidualDecomposition(
-        base=split.base,
-        delta_red=split.delta_r,
-        delta_blue=split.delta_b,
-        rho_red=np.where(split.short, split.rho, 0.0),
-        rho_blue=np.where(split.short, 0.0, split.rho),
-        short_red=split.short | g.sinks,
-        short_blue=~split.short,
-    )
+    """The decomposition split at S = all nodes and S_R = red."""
+    return _split_rows(g, np.ones(g.n, dtype=bool), g.red, _check_phi(phi), neighborhood=False)
 
 
 def build_fair_jump(g: ColoredGraph, phi: float) -> np.ndarray:
@@ -98,10 +97,6 @@ def build_fair_jump(g: ColoredGraph, phi: float) -> np.ndarray:
     v[g.red] = phi / g.n_red
     v[~g.red] = (1.0 - phi) / g.n_blue
     return v
-
-
-def _everyone(g: ColoredGraph) -> np.ndarray:
-    return np.ones(g.n, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -156,11 +151,10 @@ def build_residual_model(g: ColoredGraph, phi: float, policy: ResidualPolicy) ->
     spreads that share uniformly over the whole group.
     """
     if policy.kind is PolicyKind.NEIGHBORHOOD:
-        return build_targeted_model(g, _everyone(g), g.red, phi, policy.kind)
+        return build_targeted_model(g, np.ones(g.n, dtype=bool), g.red, phi, policy.kind)
     if policy.x is None or policy.y is None:
         raise ValueError(f"{policy.kind.value} policy is missing its x/y vectors")
-    split = _split_rows(g, _everyone(g), g.red, _check_phi(phi), neighborhood=False)
-    return split.model(policy.x, policy.y)
+    return residual_decompose(g, phi).model(policy.x, policy.y)
 
 
 def lfpr_pagerank(
@@ -204,10 +198,10 @@ def _residual_problem(
     scores.  Its four solves add their products to ``counts["matvecs"]`` as in
     :func:`fairpr.pagerank.solve_left`.
     """
-    split = _split_rows(g, _everyone(g), g.red, phi, neighborhood=False)
+    split = residual_decompose(g, phi)
     jump = build_fair_jump(g, phi)
     scale = (1.0 - gamma) / gamma
-    owed = np.vstack([split.delta_r, split.delta_b])
+    owed = np.vstack([split.delta_red, split.delta_blue])
     bare = TransitionModel(split.base)
     q = np.vstack([solve_right(bare, d, gamma, tol=INNER_TOL, counts=counts) for d in owed])
 
@@ -290,27 +284,9 @@ def targeted_jump(g: ColoredGraph, s_mask: np.ndarray, sr_mask: np.ndarray, phi:
     return v
 
 
-@dataclass(frozen=True)
-class _RowSplit:
-    """Per-edge ``base``, the mass each row still owes S_R and S_B = S - S_R,
-    and the sinks' jump outside S; only the decomposition sets ``rho``/``short``."""
-
-    base: SparseRows
-    delta_r: np.ndarray
-    delta_b: np.ndarray
-    rest: tuple
-    rho: np.ndarray | None = None
-    short: np.ndarray | None = None
-
-    def model(self, x: np.ndarray, y: np.ndarray) -> TransitionModel:
-        """The transitions with the owed mass spread by ``x`` over S_R and ``y`` over S_B."""
-        owed = tuple((d, t) for d, t in ((self.delta_r, x), (self.delta_b, y)) if d.any())
-        return TransitionModel(self.base, owed + self.rest)
-
-
 def _split_rows(
     g: ColoredGraph, s_mask: np.ndarray, sr_mask: np.ndarray, phi: float, neighborhood: bool
-) -> _RowSplit:
+) -> ResidualDecomposition:
     """The one place where rows are split ``phi``-fairly.
 
     Each row keeps its out-of-target entries and reallocates the mass it
@@ -371,7 +347,7 @@ def _split_rows(
         rest = ((sink.astype(float), outside),)
 
     base = SparseRows(data, g.indices, g.indptr)
-    return _RowSplit(base=base, delta_r=delta_r, delta_b=delta_b, rest=rest, rho=rho, short=short)
+    return ResidualDecomposition(base, delta_r, delta_b, rest, rho, short)
 
 
 def build_targeted_model(

@@ -14,7 +14,6 @@ from fairpr.analysis import (
     make_report,
     personalized_audit,
     red_mass,
-    targeted_lower_bound_loss,
     utility_loss,
     write_audit_csv,
     write_histogram_csv,
@@ -220,7 +219,7 @@ def test_targeted_lower_bound_sits_below_every_targeted_loss():
         s_mask = np.isin(np.arange(g.n), s)
         sr_mask = np.isin(np.arange(g.n), s_r)
         phi = 0.5
-        bound = targeted_lower_bound_loss(p_o, s_mask, sr_mask, phi)
+        bound = utility_loss(lower_bound_vector(p_o, g, phi, s_mask, sr_mask), p_o)
         assert bound > 0.0
         losses = [
             utility_loss(targeted_lfpr(g, s, s_r, phi, kind=kind, p_o=p_o), p_o)

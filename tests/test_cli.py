@@ -602,6 +602,39 @@ def test_malformed_target_node_id_names_its_file_and_line(tmp_path, graph_files,
     assert f"{tmp_path / 's.txt'}:4: node id must be an integer, got 'x1'" in capsys.readouterr().err
 
 
+FULLWIDTH = str.maketrans("0123456789", "".join(map(chr, range(0xFF10, 0xFF1A))))
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x0660, 0x066A))))
+
+
+@pytest.mark.parametrize(
+    "kind, lineno, spell",
+    [
+        ("colors", 11, lambda line: line.replace("10", "1_0", 1)),
+        ("edges", 4, lambda line: line.translate(FULLWIDTH)),
+        ("target-set", 11, lambda line: line.replace("10", "1_0", 1)),
+        ("target-protected", 1, lambda line: line.translate(ARABIC_INDIC)),
+    ],
+    ids=["colors", "edges", "target-set", "target-protected"],
+)
+def test_underscores_and_non_ascii_digits_are_not_node_ids(tmp_path, graph_files, capsys, kind, lineno, spell):
+    # int() reads each respelled line as the same ids; the line parser declines it as the strict pass does
+    edges, colors, g = graph_files
+    files = {"edges": edges, "colors": colors}
+    for name, nodes in (("target-set", np.arange(16)), ("target-protected", np.flatnonzero(g.red[:16]))):
+        files[name] = tmp_path / f"{name}.txt"
+        files[name].write_text("".join(f"{i}\n" for i in nodes))
+    lines = Path(files[kind]).read_text(encoding="utf-8").splitlines()
+    bad = lines[lineno - 1] = spell(lines[lineno - 1])
+    files[kind] = tmp_path / f"bad-{kind}.txt"
+    files[kind].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["rank", "--algo", "lfpr-u", "--phi", "0.5", "--out", str(out)]
+    assert main(argv + [arg for name, path in files.items() for arg in (f"--{name}", str(path))]) == 1
+    message = "non-integer token" if kind in ("colors", "edges") else f"node id must be an integer, got {bad!r}"
+    assert capsys.readouterr().err.splitlines() == [f"error: {files[kind]}:{lineno}: {message}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "layout",
     [

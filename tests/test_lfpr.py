@@ -10,7 +10,6 @@ from fairpr.lfpr import (
     PolicyKind,
     ResidualPolicy,
     _residual_problem,
-    _split_rows,
     build_fair_jump,
     build_residual_model,
     build_targeted_model,
@@ -44,7 +43,7 @@ def test_residual_worked_example_is_exact():
     dec = residual_decompose(g, 0.5)
     assert dec.rho_red[0] == 0.125
     assert dec.delta_red[0] == 0.375
-    assert bool(dec.short_red[0]) is True
+    assert bool((dec.short | g.sinks)[0]) is True
     assert dec.delta_blue[0] == 0.0
 
 
@@ -58,17 +57,17 @@ def test_decomposition_row_identities():
         np.testing.assert_allclose(base_red + dec.delta_red, phi, atol=1e-12)
         np.testing.assert_allclose(base_blue + dec.delta_blue, 1.0 - phi, atol=1e-12)
         assert dec.delta_red.min() >= 0.0 and dec.delta_blue.min() >= 0.0
-        # a node is short on exactly one side
-        assert not (dec.short_red & dec.short_blue & ~g.sinks).any()
+        # no non-sink row owes both sides
+        assert ((dec.delta_red == 0) | (dec.delta_blue == 0))[~g.sinks].all()
 
 
 def test_exact_ratio_row_needs_no_residual():
     # one red + one blue neighbor at phi = 1/2 is already locally fair
     g = make_star(1, 1)
     dec = residual_decompose(g, 0.5)
-    assert not dec.short_red[0]
+    assert not (dec.short | g.sinks)[0]
     assert dec.delta_blue[0] == 0.0
-    assert dec.rho_blue[0] == 0.5
+    assert np.where(dec.short, 0.0, dec.rho)[0] == 0.5
 
 
 def test_fair_jump_masses():
@@ -94,7 +93,7 @@ def test_neighborhood_model_equals_decomposition_route():
         red_nbrs = nbrs[g.red[nbrs]]
         blue_nbrs = nbrs[~g.red[nbrs]]
         if red_nbrs.size and blue_nbrs.size:
-            if dec.short_red[i]:
+            if (dec.short | g.sinks)[i]:
                 alt[i, red_nbrs] += dec.delta_red[i] / red_nbrs.size
             else:
                 alt[i, blue_nbrs] += dec.delta_blue[i] / blue_nbrs.size
@@ -203,8 +202,8 @@ def test_utility_loss_gradient_matches_central_differences(seed):
     x, y = (np.where(mask, rng.uniform(0.5, 1.5, g.n), 0.0) for mask in (g.red, ~g.red))
     policy = ResidualPolicy(PolicyKind.OPTIMIZED, x=x / x.sum(), y=y / y.sum())
     p = lfpr_pagerank(g, phi, policy, gamma, tol=1e-14)
-    split = _split_rows(g, np.ones(g.n, dtype=bool), g.red, phi, neighborhood=False)
-    u = (1 - gamma) / gamma * ((p @ split.delta_r) * policy.x + (p @ split.delta_b) * policy.y)
+    dec = residual_decompose(g, phi)
+    u = (1 - gamma) / gamma * ((p @ dec.delta_red) * policy.x + (p @ dec.delta_blue) * policy.y)
     # u is feasible, and p is affine in it: p' = (u + v)' Q for the base alone
     np.testing.assert_allclose(problem.constraint @ u, problem.rhs, rtol=0, atol=1e-12)
     forward = lambda w: solve_left(problem.model, w + problem.shift, gamma, tol=1e-14)

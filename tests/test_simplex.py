@@ -12,11 +12,16 @@ from fairpr.simplex import project_fair_simplex, project_polyhedron, project_sim
 
 
 def fit_multipliers(z, a, x):
-    """Recover (mu, nu) from KKT stationarity on the support, least squares."""
+    """Recover (mu, nu) from KKT stationarity on the support, least squares.
+
+    The ``a`` column is fitted at unit scale: beside the ones column, a column
+    of scale ~1e-14 falls under ``lstsq``'s rank cutoff, which would fit nu = 0.
+    """
     support = x > 0
-    design = np.column_stack([np.ones(support.sum()), a[support]])
-    coef, *_ = np.linalg.lstsq(design, (x - z)[support], rcond=None)
-    return coef, support
+    scale = np.abs(a[support]).max() or 1.0
+    design = np.column_stack([np.ones(support.sum()), a[support] / scale])
+    (mu, nu), *_ = np.linalg.lstsq(design, (x - z)[support], rcond=None)
+    return np.array([mu, nu / scale]), support
 
 
 def bisection_reference(z, a, c, steps=200):
@@ -116,6 +121,7 @@ _a2 = np.array([0.0, 0.6, 1.0, 0.4])
 @example((spike(6, 1), _a1, near_end(_a1, 1.0 - 1e-9)))
 @example((spike(4, 0), _a2, near_end(_a2, 1e-9)))
 @example((spike(21, 19), 0.0625 * spike(21, 19) - spike(21, 20), 0.06249893750000002))
+@example((np.zeros(19), 1e-6 * spike(19, 0) - 1.72418751e-14 * spike(19, 1), -1.6241875035280433e-14))
 def test_fair_projection_is_feasible_optimal_and_no_farther_than_bisection(case):
     z, a, c = case
     x = project_fair_simplex(z, a, c)
