@@ -280,12 +280,13 @@ def _tolerance(text: str) -> float:
     return tol
 
 
-def _count(name: str):
-    """Parser of a positive integer option, named ``name`` in its message."""
+def _count(name: str, least: int = 1):
+    """Parser of an integer option in ASCII digits, at least ``least`` (1 or 0), named ``name`` in its message."""
+    kind = "positive" if least else "non-negative"
 
     def parse(text: str) -> int:
-        if not (text.isdecimal() and int(text) >= 1):
-            raise argparse.ArgumentTypeError(f"{name} must be a positive integer, got {text}")
+        if not (text.isascii() and text.isdecimal() and int(text) >= least):
+            raise argparse.ArgumentTypeError(f"{name} must be a {kind} integer, got {text}")
         return int(text)
 
     return parse
@@ -346,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--grid-alpha-red", type=_float_list, help="default 0.5")
     p_sweep.add_argument("--grid-alpha-blue", type=_float_list, help="default 0.5")
     p_sweep.add_argument("--grid-seeds", type=_count("grid-seeds"), help="default 1")
-    p_sweep.add_argument("--seed", type=int, help="seed of the synthetic grid (default 0)")
+    p_sweep.add_argument("--seed", type=_count("seed", 0), help="seed of the synthetic grid (default 0)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_audit = sub.add_parser("audit", help="personalized fairness audit")
@@ -354,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--algo", choices=[a for a in ALGOS if a != "fspr"], default="opr")
     p_audit.add_argument("--phi", type=float, default=None)
     p_audit.add_argument("--sample", type=_count("sample"), default=None, help="audit sample size")
-    p_audit.add_argument("--seed", type=int, default=0, help="seed of the audit sample")
+    p_audit.add_argument("--seed", type=_count("seed", 0), default=0, help="seed of the audit sample")
     p_audit.set_defaults(func=cmd_audit)
 
     p_gen = sub.add_parser("generate", help="grow a synthetic colored graph")
@@ -365,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--alpha-blue", type=float, required=True)
     p_gen.add_argument("--n0", type=int, default=10, help="seed ring size")
     p_gen.add_argument("--edges-per-node", type=int, default=1)
-    p_gen.add_argument("--seed", type=int, default=0, help="generator seed")
+    p_gen.add_argument("--seed", type=_count("seed", 0), default=0, help="generator seed")
     p_gen.set_defaults(func=cmd_generate)
     return parser
 

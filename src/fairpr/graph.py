@@ -60,23 +60,12 @@ class ColoredGraph:
         return np.diff(self.indptr)
 
     @property
-    def out_red(self) -> np.ndarray:
-        """Per-node count of red out-neighbors."""
-        is_red_target = self.red[self.indices].astype(np.int64)
-        return np.add.reduceat(
-            np.concatenate([is_red_target, [0]]), self.indptr[:-1]
-        ) * (self.out_degree > 0)
-
-    @property
-    def out_blue(self) -> np.ndarray:
-        return self.out_degree - self.out_red
-
-    @property
     def sinks(self) -> np.ndarray:
         return self.out_degree == 0
 
-    def out_neighbors(self, i: int) -> np.ndarray:
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
+    def out_count(self, mask: np.ndarray) -> np.ndarray:
+        """Per-node count of out-neighbors in ``mask``: a prefix sum over the edges read at ``indptr``."""
+        return np.diff(np.concatenate(([0], np.cumsum(mask[self.indices])))[self.indptr])
 
     def red_nodes(self) -> np.ndarray:
         return np.nonzero(self.red)[0]
@@ -337,8 +326,8 @@ def write_summary_csv(g: ColoredGraph, path) -> None:
     b = 1.0 - r
     red_src_edges = int(g.out_degree[g.red].sum())
     blue_src_edges = g.n_edges - red_src_edges
-    cross_red = f"{g.out_blue[g.red].sum() / red_src_edges / b:.17g}" if red_src_edges > 0 else ""
-    cross_blue = f"{g.out_red[~g.red].sum() / blue_src_edges / r:.17g}" if blue_src_edges > 0 else ""
+    cross_red = f"{g.out_count(~g.red)[g.red].sum() / red_src_edges / b:.17g}" if red_src_edges > 0 else ""
+    cross_blue = f"{g.out_count(g.red)[~g.red].sum() / blue_src_edges / r:.17g}" if blue_src_edges > 0 else ""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "edges", "r", "b", "cross_R", "cross_B"])

@@ -298,55 +298,37 @@ def _split_rows(
     """
     n = g.n
     out = g.out_degree.astype(float)
-    nonsink = out > 0
-    sink = ~nonsink
-
-    in_s = s_mask[g.indices]
-    in_sr = sr_mask[g.indices]
-    edge_row = np.repeat(np.arange(n), g.out_degree)
-    d_s = np.bincount(edge_row, weights=in_s, minlength=n)
-    d_sr = np.bincount(edge_row, weights=in_sr, minlength=n)
+    sink = g.sinks
+    d_s, d_sr = g.out_count(s_mask), g.out_count(sr_mask)
     d_sb = d_s - d_sr
-
     # Per-row probability currently entering the target set.
-    s_mass = np.zeros(n)
-    s_mass[nonsink] = d_s[nonsink] / out[nonsink]
-    s_mass[sink] = s_mask.sum() / n
-
-    row_out = np.repeat(np.where(nonsink, 1.0 / np.maximum(out, 1.0), 0.0), g.out_degree)
+    s_mass = np.divide(d_s, out, out=np.full(n, s_mask.sum() / n), where=~sink)
     rho = short = None
 
     if neighborhood:
-        share_sr = np.repeat(
-            np.where(d_sr > 0, phi * s_mass / np.maximum(d_sr, 1.0), 0.0), g.out_degree
-        )
-        share_sb = np.repeat(
-            np.where(d_sb > 0, (1.0 - phi) * s_mass / np.maximum(d_sb, 1.0), 0.0), g.out_degree
-        )
-        data = np.where(in_sr, share_sr, np.where(in_s, share_sb, row_out))
+        shares = [np.divide(q * s_mass, d, out=np.zeros(n), where=d > 0)
+                  for q, d in ((1.0 - phi, d_sb), (phi, d_sr))]  # into S_B, into S_R
         delta_r = phi * s_mass * (d_sr == 0)
         delta_b = (1.0 - phi) * s_mass * (d_sb == 0)
     else:
+        # The side that fills its quota first keeps rho per edge; the other side owes the gap.
         short = (d_s > 0) & (d_sr < phi * d_s)
-        rich = (d_s > 0) & ~short
-        rho = np.zeros(n)
-        rho[short] = (1.0 - phi) * s_mass[short] / d_sb[short]
-        rho[rich] = phi * s_mass[rich] / d_sr[rich]
-        delta_r = np.zeros(n)
-        delta_b = np.zeros(n)
-        delta_r[short] = s_mass[short] * (phi - (1.0 - phi) * d_sr[short] / d_sb[short])
-        delta_b[rich] = s_mass[rich] * ((1.0 - phi) - phi * d_sb[rich] / d_sr[rich])
-        delta_r[sink] = phi * s_mass[sink]
-        delta_b[sink] = (1.0 - phi) * s_mass[sink]
-        data = np.where(in_s, np.repeat(rho, g.out_degree), row_out)
+        kept_q, kept_d = np.where(short, 1.0 - phi, phi), np.where(short, d_sb, d_sr)
+        owed_q, owed_d = np.where(short, phi, 1.0 - phi), np.where(short, d_sr, d_sb)
+        rho = np.divide(kept_q * s_mass, kept_d, out=np.zeros(n), where=d_s > 0)
+        owed = s_mass * (owed_q - np.divide(kept_q * owed_d, kept_d, out=np.zeros(n), where=d_s > 0))
+        delta_r = np.where(short, owed, phi * s_mass * sink)  # a sink owes both quotas in full
+        delta_b = np.where(short, 0.0, owed)
+        shares = [rho, rho]
 
     rest = ()
     if sink.any() and s_mask.sum() < n:
-        outside = np.zeros(n)
-        outside[~s_mask] = 1.0 / n
-        rest = ((sink.astype(float), outside),)
+        rest = ((sink.astype(float), np.where(s_mask, 0.0, 1.0 / n)),)
 
-    base = SparseRows(data, g.indices, g.indptr)
+    # Per-row share of an edge out of S, into S_B and into S_R, gathered by the edge's column class.
+    table = np.vstack([1.0 / np.maximum(out, 1.0), *shares])
+    column = s_mask.astype(np.intp) + sr_mask
+    base = SparseRows(table[column[g.indices], np.repeat(np.arange(n), g.out_degree)], g.indices, g.indptr)
     return ResidualDecomposition(base, delta_r, delta_b, rest, rho, short)
 
 

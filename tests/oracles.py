@@ -1,12 +1,14 @@
 """Test-only oracles: row checks of transition models, dense solvers of the
 optimizers' QPs, exact but quadratic in memory, the plain fixed-point loop,
-and the synthetic generator on the Generator's scalar draws."""
+the synthetic generator on the Generator's scalar draws, and the locally
+fair row split in its earlier, mask-assignment form."""
 
 import numpy as np
 
 from fairpr.errors import ConvergenceError, InfeasibleError
-from fairpr.graph import from_edges
-from fairpr.pagerank import DEFAULT_GAMMA, INNER_TOL, _check_gamma, solve_left
+from fairpr.graph import ColoredGraph, from_edges
+from fairpr.lfpr import ResidualDecomposition
+from fairpr.pagerank import DEFAULT_GAMMA, INNER_TOL, SparseRows, _check_gamma, solve_left
 from fairpr.synth import _seed_colors, child_seed
 
 
@@ -183,3 +185,62 @@ def generate_reference(cfg):
             edges = [(a, b) for a, b in undirected] + [(b, a) for a, b in undirected]
             return from_edges(cfg.n, edges, red)
     raise RuntimeError("could not generate a graph with both color groups")
+
+
+def split_rows_reference(
+    g: ColoredGraph, s_mask: np.ndarray, sr_mask: np.ndarray, phi: float, neighborhood: bool
+) -> ResidualDecomposition:
+    """``lfpr._split_rows`` as it stood before ``ColoredGraph.out_count``: weighted
+    ``bincount`` row counts and boolean-mask assignments into zero-filled arrays."""
+    n = g.n
+    out = g.out_degree.astype(float)
+    nonsink = out > 0
+    sink = ~nonsink
+
+    in_s = s_mask[g.indices]
+    in_sr = sr_mask[g.indices]
+    edge_row = np.repeat(np.arange(n), g.out_degree)
+    d_s = np.bincount(edge_row, weights=in_s, minlength=n)
+    d_sr = np.bincount(edge_row, weights=in_sr, minlength=n)
+    d_sb = d_s - d_sr
+
+    # Per-row probability currently entering the target set.
+    s_mass = np.zeros(n)
+    s_mass[nonsink] = d_s[nonsink] / out[nonsink]
+    s_mass[sink] = s_mask.sum() / n
+
+    row_out = np.repeat(np.where(nonsink, 1.0 / np.maximum(out, 1.0), 0.0), g.out_degree)
+    rho = short = None
+
+    if neighborhood:
+        share_sr = np.repeat(
+            np.where(d_sr > 0, phi * s_mass / np.maximum(d_sr, 1.0), 0.0), g.out_degree
+        )
+        share_sb = np.repeat(
+            np.where(d_sb > 0, (1.0 - phi) * s_mass / np.maximum(d_sb, 1.0), 0.0), g.out_degree
+        )
+        data = np.where(in_sr, share_sr, np.where(in_s, share_sb, row_out))
+        delta_r = phi * s_mass * (d_sr == 0)
+        delta_b = (1.0 - phi) * s_mass * (d_sb == 0)
+    else:
+        short = (d_s > 0) & (d_sr < phi * d_s)
+        rich = (d_s > 0) & ~short
+        rho = np.zeros(n)
+        rho[short] = (1.0 - phi) * s_mass[short] / d_sb[short]
+        rho[rich] = phi * s_mass[rich] / d_sr[rich]
+        delta_r = np.zeros(n)
+        delta_b = np.zeros(n)
+        delta_r[short] = s_mass[short] * (phi - (1.0 - phi) * d_sr[short] / d_sb[short])
+        delta_b[rich] = s_mass[rich] * ((1.0 - phi) - phi * d_sb[rich] / d_sr[rich])
+        delta_r[sink] = phi * s_mass[sink]
+        delta_b[sink] = (1.0 - phi) * s_mass[sink]
+        data = np.where(in_s, np.repeat(rho, g.out_degree), row_out)
+
+    rest = ()
+    if sink.any() and s_mask.sum() < n:
+        outside = np.zeros(n)
+        outside[~s_mask] = 1.0 / n
+        rest = ((sink.astype(float), outside),)
+
+    base = SparseRows(data, g.indices, g.indptr)
+    return ResidualDecomposition(base, delta_r, delta_b, rest, rho, short)

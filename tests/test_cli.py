@@ -853,6 +853,26 @@ def test_meaningless_counts_and_empty_lists_exit_1(tmp_path, graph_files, capsys
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--n", "30", "--r", "0.3", "--alpha-red", "0.5", "--alpha-blue", "0.5", "--seed", "-1"],
+        ["sweep", "--grid-n", "40", "--phi", "0.3", "--seed", "-2"],
+        ["audit", "--sample", "10", "--seed", "-3"],
+        ["audit", "--seed", "-3"],  # draws no sample, so numpy never sees the seed
+        ["generate", "--n", "30", "--r", "0.3", "--alpha-red", "0.5", "--alpha-blue", "0.5", "--seed", "\u0663"],
+    ],
+)
+def test_a_negative_or_non_ascii_seed_exits_1_naming_the_flag(tmp_path, capsys, argv):
+    if argv[0] == "audit":  # missing files: the seed is rejected before any file is read
+        argv += ["--edges", str(tmp_path / "no-edges.tsv"), "--colors", str(tmp_path / "no-colors.tsv")]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"argument --seed: seed must be a non-negative integer, got {argv[argv.index('--seed') + 1]}" in err
+    assert "no-edges.tsv" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_fspr_and_lfpr_o_share_one_iteration_budget(tmp_path, graph_files, monkeypatch):
     # both default to 5000 iterations; their work counts stay out of report.json
     edges, colors, _ = graph_files

@@ -25,18 +25,21 @@ def test_from_edges_basic_properties():
     assert g.n_blue == 1
     assert g.out_degree.tolist() == [2, 1, 0]
     assert g.sinks.tolist() == [False, False, True]
-    assert g.out_neighbors(0).tolist() == [1, 2]
-    assert g.out_neighbors(2).tolist() == []
+    assert g.indices[g.indptr[0] : g.indptr[1]].tolist() == [1, 2]
+    assert g.indices[g.indptr[2] : g.indptr[3]].tolist() == []
     assert g.red_nodes().tolist() == [0, 2]
     assert g.blue_nodes().tolist() == [1]
     assert g.edges().tolist() == [[0, 1], [0, 2], [1, 2]]
 
 
-def test_out_red_counts_with_interleaved_sinks():
-    # sink rows must not absorb the next row's reduceat segment
-    g = from_edges(4, [(1, 0), (1, 3), (3, 0)], [True, False, False, False])
-    assert g.out_red.tolist() == [0, 1, 0, 1]
-    assert g.out_blue.tolist() == [0, 1, 0, 0]
+def test_out_count_with_interleaved_and_trailing_sinks():
+    # nodes 0, 2 and 5 are sinks; a sink's count is 0 and leaves its neighbors' counts alone
+    g = from_edges(6, [(1, 0), (1, 3), (3, 0), (3, 1), (3, 3), (4, 2)], [True, False, False, True, False, False])
+    assert g.out_count(g.red).tolist() == [0, 2, 0, 2, 0, 0]
+    assert g.out_count(~g.red).tolist() == [0, 0, 0, 1, 1, 0]
+    assert g.out_count(np.zeros(6, dtype=bool)).tolist() == [0] * 6
+    assert g.out_count(np.ones(6, dtype=bool)).tolist() == g.out_degree.tolist() == [0, 2, 0, 3, 1, 0]
+    assert g.out_count(g.red).dtype == np.int64
 
 
 def test_from_edges_rejects_bad_input():
@@ -52,7 +55,7 @@ def test_from_edges_rejects_bad_input():
 
 def test_from_edges_allows_self_loops_and_is_immutable():
     g = from_edges(2, [(0, 0), (0, 1)], [True, False])
-    assert g.out_neighbors(0).tolist() == [0, 1]
+    assert g.indices[g.indptr[0] : g.indptr[1]].tolist() == [0, 1]
     with pytest.raises(ValueError):
         g.red[0] = False
 

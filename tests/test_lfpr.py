@@ -10,6 +10,7 @@ from fairpr.lfpr import (
     PolicyKind,
     ResidualPolicy,
     _residual_problem,
+    _split_rows,
     build_fair_jump,
     build_residual_model,
     build_targeted_model,
@@ -22,7 +23,7 @@ from fairpr.lfpr import (
 )
 from fairpr.pagerank import dense_q, pagerank, solve_left, solve_right, standard_transition
 from fairpr.synth import SynthConfig, generate
-from oracles import row_sums, solve_fspr_dense, validate
+from oracles import row_sums, solve_fspr_dense, split_rows_reference, validate
 
 KINDS = (PolicyKind.NEIGHBORHOOD, PolicyKind.UNIFORM, PolicyKind.PROPORTIONAL)
 
@@ -89,7 +90,7 @@ def test_neighborhood_model_equals_decomposition_route():
     dec = residual_decompose(g, phi)
     alt = dec.base.to_dense()
     for i in range(g.n):
-        nbrs = g.out_neighbors(i)
+        nbrs = g.indices[g.indptr[i] : g.indptr[i + 1]]
         red_nbrs = nbrs[g.red[nbrs]]
         blue_nbrs = nbrs[~g.red[nbrs]]
         if red_nbrs.size and blue_nbrs.size:
@@ -357,6 +358,38 @@ def test_targeted_scores_bound_the_jump_from_below(seed, n, sink_frac, phi, gamm
     p = targeted_lfpr(g, s, s_r, phi, kind=kind, gamma=gamma)
     assert (p >= gamma * targeted_jump(g, s_mask, sr_mask, phi)).all()
     assert p[s_mask].sum() >= gamma * s.size / n * (1.0 - 1e-12) > 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    sink_frac=st.sampled_from([0.0, 0.2, 0.5]),
+    avg_out=st.sampled_from([1.0, 3.0, 6.0]),
+    phi=st.floats(1e-9, 1.0 - 1e-9),
+    targeted=st.booleans(),
+)
+def test_split_rows_matches_the_reference_bit_for_bit(seed, n, sink_frac, avg_out, phi, targeted):
+    # the global masks (S = all nodes, S_R = red) or a targeted pair S_R in S, both splits
+    rng = np.random.default_rng(seed)
+    g = random_colored_graph(rng, n, avg_out=avg_out, sink_frac=sink_frac)
+    s_mask, sr_mask = np.ones(n, dtype=bool), g.red
+    if targeted:
+        s = rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False)
+        s_mask, sr_mask = np.isin(np.arange(n), s), np.isin(np.arange(n), s[: int(rng.integers(1, s.size))])
+    for neighborhood in (False, True):
+        got = _split_rows(g, s_mask, sr_mask, phi, neighborhood)
+        want = split_rows_reference(g, s_mask, sr_mask, phi, neighborhood)
+        pairs = [(got.base.data, want.base.data), (got.delta_red, want.delta_red), (got.delta_blue, want.delta_blue)]
+        if neighborhood:
+            assert got.rho is None and got.short is None and want.rho is None and want.short is None
+        else:
+            pairs += [(got.rho, want.rho), (got.short, want.short)]
+        for a, b in pairs:
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert len(got.rest) == len(want.rest)
+        for a, b in zip(sum(got.rest, ()), sum(want.rest, ())):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_targeted_model_rows_split_target_mass():
