@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .graph import ColoredGraph, _check_target_sets
+from .graph import ColoredGraph, _check_target_sets, write_rows
 from .pagerank import DEFAULT_GAMMA, TransitionModel, _check_phi, absorption_vector
 from .simplex import project_fair_simplex
 
@@ -171,24 +172,24 @@ def make_report(scores, p_o, g: ColoredGraph, phi=None, gamma=DEFAULT_GAMMA, tar
 
 
 def write_json(path, payload: dict) -> None:
-    """Indented JSON with sorted keys, so reruns write identical bytes."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """``json.dump(payload, indent=2, sort_keys=True)``'s bytes plus a newline.  A dict of scalars (a
+    policy's nodes) goes through json's C encoder, spliced in: ~0.7x the indented encoder's time."""
+    fields = []
+    for key, value in sorted(payload.items()):
+        kinds = set(map(type, value.values())) if isinstance(value, dict) and value else {dict}
+        if not any(issubclass(kind, (dict, list, tuple)) for kind in kinds):  # a dict of scalars
+            text = "{\n    " + json.dumps(value, sort_keys=True, separators=(",\n    ", ": "))[1:-1] + "\n  }"
+        else:
+            text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        fields.append(f"  {json.dumps(key)}: {text}")
+    Path(path).write_text("{\n" + ",\n".join(fields) + "\n}\n" if fields else "{}\n", encoding="utf-8")
 
 
 def write_audit_csv(audit: PersonalizedAudit, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        # % writes str.format's digits in ~0.7x its time (n = 30,000: 46 -> 31 ms).
-        rows = zip(audit.nodes.tolist(), audit.red.tolist(), audit.adjusted.tolist(), audit.fair.tolist())
-        fh.write("node,color,adjusted_red_mass,fair\n" + "".join(["%d,%d,%.17g,%d\n" % row for row in rows]))
+    write_rows(path, "node,color,adjusted_red_mass,fair", "%d,%d,%.17g,%d",
+               audit.nodes, audit.red, audit.adjusted, audit.fair)
 
 
 def write_histogram_csv(audit: PersonalizedAudit, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("bin_lo,bin_hi,red_count,blue_count\n")
-        for i in range(audit.red_hist.size):
-            fh.write(
-                f"{audit.hist_edges[i]:.17g},{audit.hist_edges[i + 1]:.17g},"
-                f"{audit.red_hist[i]},{audit.blue_hist[i]}\n"
-            )
+    write_rows(path, "bin_lo,bin_hi,red_count,blue_count", "%.17g,%.17g,%d,%d",
+               audit.hist_edges[:-1], audit.hist_edges[1:], audit.red_hist, audit.blue_hist)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
 
@@ -34,7 +33,7 @@ def _solver_flags(args, algos) -> None:
     given = [f"--{k}" for k in ("tol", "iters") if getattr(args, k) is not None]
     if given and not {"fspr", "lfpr-o"} & set(algos):
         raise ValueError(f"{', '.join(given)}: only --algo fspr and lfpr-o read them")
-    args.tol, args.iters = args.tol or 1e-8, args.iters or 5000  # a given value is positive
+    args.tol, args.iters = args.tol or fspr.KKT_TOL, args.iters or fspr.MAX_DUAL_STEPS  # a given value is positive
 
 
 def _require_phi(phi):
@@ -99,18 +98,6 @@ def _rank_once(g, algo, args, phi, p_o, gamma, targets):
     return scores, extras, policy
 
 
-def _policy_json(policy) -> str:
-    """``write_json``'s bytes for the kind and the nonzero x and y entries, from json's C encoder."""
-    text = '{\n  "kind": ' + json.dumps(policy.kind.value)
-    for name, vec in (("x", policy.x), ("y", policy.y)):
-        if vec is not None:
-            nodes = np.flatnonzero(vec)
-            body = json.dumps(dict(zip(map(str, nodes.tolist()), vec[nodes].tolist())),
-                              sort_keys=True, separators=(",\n    ", ": "))
-            text += f',\n  "{name}": ' + (body if nodes.size == 0 else "{\n    " + body[1:-1] + "\n  }")
-    return text + "\n}\n"
-
-
 def cmd_rank(args) -> int:
     _solver_flags(args, [args.algo])
     g = graph.load_graph(args.edges, args.colors)
@@ -130,11 +117,14 @@ def cmd_rank(args) -> int:
     write_scores_csv(out / "scores.csv", scores)
     jump = extras.pop("jump_vector", None)
     if jump is not None:
-        rows = map("{},{:.17g},{:.17g}\n".format, range(g.n), jump.tolist(), scores.tolist())
-        with open(out / "solution.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write("node,jump_prob,score\n" + "".join(rows))
-    if policy is not None:
-        (out / "policy.json").write_text(_policy_json(policy), encoding="utf-8")
+        graph.write_rows(out / "solution.csv", "node,jump_prob,score", "%d,%.17g,%.17g", range(g.n), jump, scores)
+    if policy is not None:  # the kind, and the nonzero x and y entries by node id
+        payload = {"kind": policy.kind.value}
+        for name, vec in (("x", policy.x), ("y", policy.y)):
+            if vec is not None:
+                nodes = np.flatnonzero(vec)
+                payload[name] = dict(zip(map(str, nodes.tolist()), vec[nodes].tolist()))
+        analysis.write_json(out / "policy.json", payload)
     analysis.write_json(out / "report.json", {**report, **extras})
     print(
         f"{args.algo}: red_mass={report['red_mass']:.6f} loss={report['loss']:.6e} "
@@ -173,9 +163,7 @@ def _sweep_instances(args):
 def cmd_sweep(args) -> int:
     _solver_flags(args, args.algos)
     gamma = args.gamma
-    rows = []
-    ok_rows = 0
-    infeasible_rows = 0
+    rows, ok_rows, infeasible_rows = [], 0, 0
     for name, g in _sweep_instances(args):
         if isinstance(g, Exception):  # a grid cell the generator rejected
             rows += [[name, a, f"{p:.17g}", "", "", "", "error", str(g)] for a in args.algos for p in args.phis]
@@ -189,18 +177,8 @@ def cmd_sweep(args) -> int:
                     mass = analysis.red_mass(scores, g)
                     if phi not in bounds:
                         bounds[phi] = analysis.lower_bound_loss(p_o, g, phi)
-                    rows.append(
-                        [
-                            name,
-                            algo,
-                            f"{phi:.17g}",
-                            f"{mass:.17g}",
-                            f"{analysis.utility_loss(scores, p_o):.17g}",
-                            f"{bounds[phi]:.17g}",
-                            "ok",
-                            "",
-                        ]
-                    )
+                    loss, bound = analysis.utility_loss(scores, p_o), bounds[phi]
+                    rows.append([name, algo, f"{phi:.17g}", f"{mass:.17g}", f"{loss:.17g}", f"{bound:.17g}", "ok", ""])
                     ok_rows += 1
                 except InfeasibleError as exc:
                     rows.append([name, algo, f"{phi:.17g}", "", "", "", "infeasible", str(exc)])
@@ -212,9 +190,7 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["instance", "algorithm", "phi", "red_mass", "loss", "lower_bound_loss", "status", "message"]
-        )
+        writer.writerow(["instance", "algorithm", "phi", "red_mass", "loss", "lower_bound_loss", "status", "message"])
         writer.writerows(rows)
     print(f"sweep: {ok_rows} ok, {len(rows) - ok_rows} failed rows -> {out / 'sweep.csv'}")
     if ok_rows:
@@ -263,12 +239,8 @@ def cmd_generate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     graph.save_graph(g, out / "edges.tsv", out / "colors.tsv")
     graph.write_summary_csv(g, out / "summary.csv")
-    with open(out / "manifest.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("seed,r,alpha_R,alpha_B,n,red_pagerank\n")
-        fh.write(
-            f"{cfg.seed},{cfg.red_fraction:.17g},{cfg.alpha_red:.17g},"
-            f"{cfg.alpha_blue:.17g},{cfg.n},{red_pr:.17g}\n"
-        )
+    graph.write_rows(out / "manifest.csv", "seed,r,alpha_R,alpha_B,n,red_pagerank", "%d,%.17g,%.17g,%.17g,%d,%.17g",
+                     [cfg.seed], [cfg.red_fraction], [cfg.alpha_red], [cfg.alpha_blue], [cfg.n], [red_pr])
     print(f"generated n={g.n} edges={g.n_edges} red={g.n_red} red_pagerank={red_pr:.6f}")
     return 0
 
@@ -323,8 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--edges", required=graph == "required", help="edge TSV: src<TAB>dst")
         p.add_argument("--colors", required=graph == "required", help="color TSV: node<TAB>{0|1}, 1 = red")
         # Both default to None, so that a run without fspr or lfpr-o can reject them.
-        p.add_argument("--tol", type=_tolerance, help="fspr and lfpr-o solver tolerance (default 1e-8)")
-        p.add_argument("--iters", type=_count("iters"), help="fspr and lfpr-o budget of dual steps (default 5000)")
+        tol, steps = f"{fspr.KKT_TOL:g}".replace("e-0", "e-"), fspr.MAX_DUAL_STEPS  # "1e-8", 5000
+        p.add_argument("--tol", type=_tolerance, help=f"fspr and lfpr-o solver tolerance (default {tol})")
+        p.add_argument("--iters", type=_count("iters"), help=f"fspr and lfpr-o budget of dual steps (default {steps})")
 
     p_rank = sub.add_parser("rank", help="compute one fair ranking")
     common(p_rank)
@@ -371,6 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out: str) -> None:
+    """Reject, creating nothing, an ``--out`` that is not a directory or lies under an existing non-directory."""
+    existing = next((p for p in (Path(out), *Path(out).parents) if p.is_symlink() or p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ValueError(f"--out {out}: {existing} is not a directory")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -378,6 +358,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        _check_out(args.out)
         return args.func(args)
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -70,6 +70,9 @@ from .pagerank import (
 )
 from .simplex import fair_rows, project_polyhedron
 
+# The optimizers' defaults: the KKT residual they stop at and their budget of dual steps.
+KKT_TOL, MAX_DUAL_STEPS = 1e-8, 5000
+
 
 class Feasibility(Enum):
     FEASIBLE = "feasible"
@@ -182,9 +185,7 @@ def _projection(b: np.ndarray, rhs: np.ndarray):
     return project
 
 
-def solve_fspr(
-    problem: FsprProblem, tol: float = 1e-8, max_iters: int = 5000
-) -> FsprSolution:
+def solve_fspr(problem: FsprProblem, tol: float = KKT_TOL, max_iters: int = MAX_DUAL_STEPS) -> FsprSolution:
     """Minimize the score distortion over the problem's feasible set.
 
     Raises :class:`InfeasibleError` when a jump-vector constraint cannot be

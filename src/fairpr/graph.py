@@ -1,4 +1,4 @@
-"""Node-colored directed graphs: loading, validation, node-id files, and the summary CSV.
+"""Node-colored directed graphs: loading, validation, node-id files, and the row and summary CSVs.
 
 Nodes carry a binary color (red = protected group, blue = the rest) and are
 identified by dense integer ids ``0..n-1``.  Adjacency is stored CSR-style so
@@ -306,11 +306,19 @@ def save_graph(g: ColoredGraph, edge_path, color_path) -> None:
     Edges go out sorted by ``(src, dst)``, the order :func:`from_edges` keeps
     without sorting again.
     """
-    src, dst = g.edges().T.tolist()
-    with open(edge_path, "w", encoding="utf-8") as fh:
-        fh.write("".join(map("{}\t{}\n".format, src, dst)))
-    with open(color_path, "w", encoding="utf-8") as fh:
-        fh.write("".join(map("{}\t{}\n".format, range(g.n), g.red.view(np.uint8).tolist())))
+    write_rows(edge_path, None, "%d\t%d", *g.edges().T)
+    write_rows(color_path, None, "%d\t%d", range(g.n), g.red)
+
+
+def write_rows(path, header: str | None, row: str, *columns) -> None:
+    """Write one ``row % values`` line per position of the columns (sequences, or arrays read by
+    ``tolist``) under ``header`` unless None: ``%d`` for ints and bools, ``%.17g`` for floats, ``\\n``
+    line ends.  ``%`` takes ~0.7x ``str.format``'s time; the text is built in memory and written once."""
+    line = row + "\n"
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    text = "".join([line % values for values in zip(*columns)])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text if header is None else header + "\n" + text)
 
 
 def write_summary_csv(g: ColoredGraph, path) -> None:

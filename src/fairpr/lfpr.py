@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .fspr import FsprProblem, solve_fspr
+from .fspr import KKT_TOL, MAX_DUAL_STEPS, FsprProblem, solve_fspr
 from .graph import ColoredGraph, _check_target_sets
 from .pagerank import (
     DEFAULT_GAMMA,
@@ -239,8 +239,8 @@ def optimize_residuals(
     gamma: float = DEFAULT_GAMMA,
     p_o: np.ndarray | None = None,
     *,
-    iterations: int = 5000,
-    tol: float = 1e-8,
+    iterations: int = MAX_DUAL_STEPS,
+    tol: float = KKT_TOL,
 ) -> OptimizedSearchResult:
     """Redistribution vectors minimizing the utility loss, as a convex QP.
 

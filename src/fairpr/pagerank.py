@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConvergenceError
-from .graph import ColoredGraph
+from .graph import ColoredGraph, write_rows
 
 DEFAULT_GAMMA = 0.15
 DEFAULT_TOL = 1e-12
@@ -46,6 +46,7 @@ INNER_TOL = 1e-13
 # Plain fixed-point steps between two extrapolations.
 CYCLE = 6
 DEFAULT_MAX_ITERS = 10_000
+DISTRIBUTION_TOL = 1e-9  # check_distribution's slack on negative entries and on the sum
 
 
 @dataclass(frozen=True)
@@ -141,13 +142,13 @@ def standard_transition(g: ColoredGraph) -> TransitionModel:
     return TransitionModel(base=SparseRows(data, g.indices, g.indptr), residuals=residuals)
 
 
-def check_distribution(v: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def check_distribution(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise ValueError("expected a 1-D probability vector")
-    if v.min() < -tol:
+    if v.min() < -DISTRIBUTION_TOL:
         raise ValueError("probability vector has negative entries")
-    if abs(v.sum() - 1.0) > tol:
+    if abs(v.sum() - 1.0) > DISTRIBUTION_TOL:
         raise ValueError(f"probability vector sums to {v.sum():.12f}, not 1")
     return v
 
@@ -273,5 +274,4 @@ def dense_q(m: TransitionModel, gamma: float = DEFAULT_GAMMA, cap: int = 2000) -
 
 def write_scores_csv(path, scores: np.ndarray) -> None:
     """Write ``node,score`` rows at full float precision."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("node,score\n" + "".join(map("{},{:.17g}\n".format, range(len(scores)), scores.tolist())))
+    write_rows(path, "node,score", "%d,%.17g", range(len(scores)), scores)

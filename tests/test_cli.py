@@ -12,9 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fairpr
-from fairpr.cli import _policy_json, main
+from fairpr.analysis import write_json
+from fairpr.cli import main
 from fairpr.graph import _int_rows, load_graph, save_graph
-from fairpr.lfpr import PolicyKind, ResidualPolicy
+from fairpr.lfpr import PolicyKind
 from fairpr.pagerank import DEFAULT_GAMMA, standard_transition
 from fairpr.synth import SynthConfig, generate
 
@@ -139,22 +140,33 @@ def _vectors(size):
     return st.lists(values, min_size=size, max_size=size).map(np.array)
 
 
+# report.json's values: floats at the ends of their range, bools, strings, None
+_REPORT_VALUES = (
+    st.floats() | st.sampled_from((-0.0, 5e-324, 1e308, float("nan"), float("inf"), float("-inf")))
+    | st.booleans() | st.integers() | st.text() | st.none()
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     kind=st.sampled_from(list(PolicyKind)),
     vectors=st.integers(0, 40).flatmap(lambda n: st.none() | st.tuples(_vectors(n), _vectors(n))),
+    report=st.dictionaries(st.text(), _REPORT_VALUES, max_size=12),
 )
-@example(kind=PolicyKind.NEIGHBORHOOD, vectors=None)  # lfpr-n: the kind alone
-@example(kind=PolicyKind.UNIFORM, vectors=(np.array([0.0, -0.0, 0.0]), np.array([0.0, 5e-324, 1e308])))
-@example(kind=PolicyKind.OPTIMIZED, vectors=(np.array([-0.0, 0.25]), np.zeros(2)))  # an all-zero group
-def test_policy_json_is_the_bytes_of_indented_json(kind, vectors):
-    # the nonzero entries by node id, as json.dump(..., indent=2, sort_keys=True) writes them
-    policy = ResidualPolicy(kind) if vectors is None else ResidualPolicy(kind, *vectors)
-    payload = {"kind": kind.value}
-    for name, vec in (("x", policy.x), ("y", policy.y)):
-        if vec is not None:
-            payload[name] = {str(i): float(v) for i, v in enumerate(vec) if v != 0.0}
-    assert _policy_json(policy) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+@example(kind=PolicyKind.NEIGHBORHOOD, vectors=None, report={})  # lfpr-n: the kind alone; the empty payload
+@example(kind=PolicyKind.UNIFORM, vectors=(np.array([0.0, -0.0, 0.0]), np.array([0.0, 5e-324, 1e308])),
+         report={"loss": -0.0, "red_mass": 5e-324, "kkt_residual": float("nan"), "phi": float("inf")})
+@example(kind=PolicyKind.OPTIMIZED, vectors=(np.array([-0.0, 0.25]), np.zeros(2)),  # an all-zero group
+         report={"lists": [1, [2.5, {"b": None}]], "deep": {"a": {"b": []}}, "flat": {"2": 1.0, "10": "x"}})
+def test_write_json_is_the_bytes_of_indented_json(tmp_path_factory, kind, vectors, report):
+    # a policy's nonzero entries by node id, and report-like payloads, as json.dump(..., indent=2, sort_keys=True)
+    policy = {"kind": kind.value}
+    for name, vec in zip("xy", vectors or ()):
+        policy[name] = {str(i): float(v) for i, v in enumerate(vec) if v != 0.0}
+    path = tmp_path_factory.getbasetemp() / "payload.json"
+    for payload in (policy, report):
+        write_json(path, payload)
+        assert path.read_text(encoding="utf-8") == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_rank_reruns_are_byte_identical(tmp_path, graph_files):
@@ -718,6 +730,32 @@ def test_solver_flags_without_a_solver_that_reads_them_exit_1(tmp_path, graph_fi
     assert main([*argv, "--edges", str(edges), "--colors", str(colors), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {named}: only --algo fspr and lfpr-o read them\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["rank", "sweep", "audit", "generate"])
+def test_an_out_that_cannot_be_a_directory_exits_1_before_any_work(
+    tmp_path, graph_files, capsys, monkeypatch, command
+):
+    # a file, or a path under one: rejected before the graph is loaded or generated, and nothing is created
+    edges, colors, _ = graph_files
+    graph = ["--edges", str(edges), "--colors", str(colors)]
+    argv = {
+        "rank": ["rank", *graph, "--algo", "fspr", "--phi", "0.35"],
+        "sweep": ["sweep", *graph, "--phi", "0.2,0.4"],
+        "audit": ["audit", *graph],
+        "generate": ["generate", "--n", "30", "--r", "0.3", "--alpha-red", "0.5", "--alpha-blue", "0.5"],
+    }[command]
+    work = []
+    for module, name in ((fairpr.graph, "load_graph"), (fairpr.synth, "generate")):
+        monkeypatch.setattr(module, name, lambda *a, f=getattr(module, name), **k: work.append(1) or f(*a, **k))
+    blocker = tmp_path / "afile"
+    blocker.write_text("x")
+    for out in (blocker, blocker / "sub"):
+        assert main([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --out {out}: {blocker} is not a directory\n"
+        assert captured.out == "" and not work
+    assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "x"
 
 
 @pytest.mark.parametrize("command", ["rank", "audit"])
