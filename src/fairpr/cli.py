@@ -17,7 +17,7 @@ import numpy as np
 
 from . import analysis, fspr, graph, lfpr
 from .errors import FairprError, InfeasibleError
-from .pagerank import DEFAULT_GAMMA, pagerank, standard_transition, write_scores_csv
+from .pagerank import DEFAULT_GAMMA, _check_gamma, _check_phi, pagerank, standard_transition, write_scores_csv
 
 LFPR_KINDS = {
     "lfpr-n": lfpr.PolicyKind.NEIGHBORHOOD,
@@ -36,10 +36,15 @@ def _solver_flags(args, algos) -> None:
     args.tol, args.iters = args.tol or fspr.KKT_TOL, args.iters or fspr.MAX_DUAL_STEPS  # a given value is positive
 
 
-def _require_phi(phi):
-    if phi is None:
+def _check_algo_flags(args, targeted=False) -> None:
+    """Reject, before any file is read, a ``--phi`` outside (0, 1) or missing where ``--algo``
+    needs it, and a targeted run of an algorithm without a targeted variant."""
+    if args.phi is not None:
+        _check_phi(args.phi)
+    elif args.algo != "opr":
         raise ValueError("--phi is required for this algorithm")
-    return phi
+    if targeted and args.algo not in ("fspr", *LFPR_KINDS):
+        raise ValueError(f"targeted runs are not supported for --algo {args.algo}")
 
 
 def _solver_fields(algo, result, tol) -> dict:
@@ -65,12 +70,8 @@ def _rank_once(g, algo, args, phi, p_o, gamma, targets):
     """Scores plus algorithm-specific report fields for one configuration."""
     extras: dict = {"algorithm": algo}
     policy = None
-    if targets is not None and algo not in ("fspr", "lfpr-n", "lfpr-u", "lfpr-p"):
-        raise ValueError(f"targeted runs are not supported for --algo {algo}")
-
     if algo == "opr":
         return p_o, extras, policy
-    phi = _require_phi(phi)
     if algo == "fspr":
         model = standard_transition(g)
         if targets is None:
@@ -100,13 +101,14 @@ def _rank_once(g, algo, args, phi, p_o, gamma, targets):
 
 def cmd_rank(args) -> int:
     _solver_flags(args, [args.algo])
+    if bool(args.target_set) != bool(args.target_protected):
+        raise ValueError("targeted runs need both --target-set and --target-protected")
+    _check_algo_flags(args, targeted=bool(args.target_set))
     g = graph.load_graph(args.edges, args.colors)
     gamma = args.gamma
     p_o = pagerank(standard_transition(g), gamma)
     targets = None
-    if args.target_set or args.target_protected:
-        if not (args.target_set and args.target_protected):
-            raise ValueError("targeted runs need both --target-set and --target-protected")
+    if args.target_set:
         targets = (graph.load_node_ids(args.target_set), graph.load_node_ids(args.target_protected))
 
     scores, extras, policy = _rank_once(g, args.algo, args, args.phi, p_o, gamma, targets)
@@ -200,13 +202,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_audit(args) -> int:
     _solver_flags(args, [args.algo])
+    _check_algo_flags(args)
     g = graph.load_graph(args.edges, args.colors)
     model = standard_transition(g)
     if args.algo != "opr":
-        phi = _require_phi(args.phi)
         p_o = pagerank(model, args.gamma) if args.algo == "lfpr-p" else None  # lfpr-o solves its own
-        policy, _ = _lfpr_policy(g, args.algo, args, phi, args.gamma, p_o)
-        model = lfpr.build_residual_model(g, phi, policy)
+        policy, _ = _lfpr_policy(g, args.algo, args, args.phi, args.gamma, p_o)
+        model = lfpr.build_residual_model(g, args.phi, policy)
     # phi = None audits against the red node share.
     audit = analysis.personalized_audit(
         model, g, args.gamma, args.phi, sample=args.sample, seed=args.seed
@@ -359,6 +361,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         _check_out(args.out)
+        _check_gamma(args.gamma)
         return args.func(args)
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,20 +8,20 @@ and the solve's extrapolation, an affine mix, keeps it to rounding.
 
 Each row is decomposed into a neutral part ``P_L`` (what the node can
 serve from its own out-neighbors without exceeding its group quota) plus
-a residual ``delta`` that must be redistributed inside the short group.
-How the residual is spread is the policy: over the node's own neighbors,
-uniformly over the group, proportionally to the original PageRank, or
-optimized to minimize utility loss.  The scores are affine in the mass
-``u = (1 - gamma) / gamma * [(p' delta_R) x + (p' delta_B) y]`` that the
-optimized policy (x, y) pays out, so its utility loss is a convex QP in u,
+a residual ``delta`` that must be redistributed inside the short part.
+How it is spread is the policy (x, y), x on S_R and y on S_B: over the
+node's own neighbors, uniformly over the part, proportionally to the
+original PageRank, or optimized to minimize utility loss.  The scores are
+affine in the mass ``u = (1 - gamma) / gamma * [(p' delta_R) x + (p' delta_B) y]``
+that the optimized policy pays out, so its utility loss is a convex QP in u,
 which ``optimize_residuals`` solves with :func:`fairpr.fspr.solve_fspr`;
 its ``kkt_residual`` is measured in u.
 
 The global model is the targeted model at S = all nodes and S_R = red:
 targeted fairness splits only the mass a row sends into a target set S,
-giving the protected part S_R a ``phi`` share of it.  One routine,
-``_split_rows``, does this split for both, and :func:`residual_decompose`
-is its split at S = all nodes.
+giving the protected part S_R a ``phi`` share of it and S_B = S - S_R the
+rest.  :func:`build_residual_model` builds both on one row split,
+``_split_rows``, its masks defaulting to the global ones.
 """
 
 from __future__ import annotations
@@ -101,11 +101,11 @@ def build_fair_jump(g: ColoredGraph, phi: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ResidualPolicy:
-    """How residual probability is redistributed inside each group.
+    """How residual probability is redistributed inside each part of the split.
 
-    For the distribution-valued kinds, ``x`` is supported on red nodes and
-    ``y`` on blue nodes, each summing to one.  The neighborhood kind keeps
-    residuals on each source's own neighbors and carries no shared vectors.
+    For the distribution-valued kinds, ``x`` is supported on S_R and ``y`` on
+    S_B = S - S_R, each summing to one.  The neighborhood kind keeps residuals
+    on each source's own neighbors and carries no shared vectors.
     """
 
     kind: PolicyKind
@@ -113,48 +113,52 @@ class ResidualPolicy:
     y: np.ndarray | None = None
 
 
-def _fixed_policy_vectors(kind: PolicyKind, red_part, blue_part, p_o) -> tuple[np.ndarray, np.ndarray]:
-    """The uniform or proportional (x, y) pair over the two parts of a split."""
-    if kind is PolicyKind.UNIFORM:
-        return red_part / red_part.sum(), blue_part / blue_part.sum()
-    if p_o is None:
-        raise ValueError("proportional policy needs the original scores p_o")
-    p_o = np.asarray(p_o, dtype=float)
-    xv = np.where(red_part, np.maximum(p_o, 0.0), 0.0)
-    yv = np.where(blue_part, np.maximum(p_o, 0.0), 0.0)
-    if xv.sum() <= 0 or yv.sum() <= 0:
-        raise ValueError("proportional policy undefined: a group has zero score mass")
-    return xv / xv.sum(), yv / yv.sum()
+def make_policy(
+    kind: PolicyKind | str, g: ColoredGraph, p_o: np.ndarray | None = None,
+    s_mask: np.ndarray | None = None, sr_mask: np.ndarray | None = None,
+) -> ResidualPolicy:
+    """One of the fixed redistribution policies, over S_R and S_B = S - S_R.
 
-
-def make_policy(kind: PolicyKind | str, g: ColoredGraph, p_o: np.ndarray | None = None) -> ResidualPolicy:
-    """One of the fixed redistribution policies.
-
-    ``proportional`` weights each node by its original PageRank ``p_o``.
-    The optimized policy is the result of :func:`optimize_residuals`.
+    The masks default to S = all nodes and S_R = red.  ``uniform`` weights
+    every node of a part alike, ``proportional`` by its original PageRank
+    ``p_o``.  The optimized policy is the result of :func:`optimize_residuals`.
     """
     kind = PolicyKind(kind)
     if kind is PolicyKind.OPTIMIZED:
         raise ValueError("the optimized policy comes from optimize_residuals, not make_policy")
     if kind is PolicyKind.NEIGHBORHOOD:
         return ResidualPolicy(kind=kind)
-    x, y = _fixed_policy_vectors(kind, g.red, ~g.red, p_o)
-    return ResidualPolicy(kind=kind, x=x, y=y)
+    if kind is PolicyKind.PROPORTIONAL and p_o is None:
+        raise ValueError("proportional policy needs the original scores p_o")
+    sr_mask = g.red if sr_mask is None else sr_mask
+    sb_mask = ~sr_mask if s_mask is None else s_mask & ~sr_mask
+    weight = 1.0 if kind is PolicyKind.UNIFORM else np.maximum(np.asarray(p_o, dtype=float), 0.0)
+    xv, yv = np.where(sr_mask, weight, 0.0), np.where(sb_mask, weight, 0.0)
+    if xv.sum() <= 0 or yv.sum() <= 0:
+        raise ValueError("proportional policy undefined: a group has zero score mass")
+    return ResidualPolicy(kind, xv / xv.sum(), yv / yv.sum())
 
 
-def build_residual_model(g: ColoredGraph, phi: float, policy: ResidualPolicy) -> TransitionModel:
+def build_residual_model(
+    g: ColoredGraph, phi: float, policy: ResidualPolicy,
+    s_mask: np.ndarray | None = None, sr_mask: np.ndarray | None = None,
+) -> TransitionModel:
     """Locally fair transition model ``P_L + delta_R x' + delta_B y'``.
 
-    The neighborhood kind has no x and y; it is the targeted model at S = all
-    nodes: row ``i`` spends ``phi`` uniformly over its red out-neighbors and
-    ``1 - phi`` over its blue ones, and a node missing one side (every sink)
-    spreads that share uniformly over the whole group.
+    Every row, a sink's uniform row too, keeps its entries outside S and
+    gives S_R a ``phi`` share of what it sends into S, so the fixed point has
+    ``PR(S_R) = phi * PR(S)``; S defaults to all nodes and S_R to red.  The
+    neighborhood kind has no x and y: row ``i`` spreads each share over its
+    own out-neighbors in that part, or uniformly over the part if it has none.
     """
-    if policy.kind is PolicyKind.NEIGHBORHOOD:
-        return build_targeted_model(g, np.ones(g.n, dtype=bool), g.red, phi, policy.kind)
-    if policy.x is None or policy.y is None:
+    s_mask = np.ones(g.n, dtype=bool) if s_mask is None else s_mask
+    sr_mask = g.red if sr_mask is None else sr_mask
+    neighborhood = policy.kind is PolicyKind.NEIGHBORHOOD
+    if neighborhood:
+        policy = make_policy(PolicyKind.UNIFORM, g, None, s_mask, sr_mask)
+    elif policy.x is None or policy.y is None:
         raise ValueError(f"{policy.kind.value} policy is missing its x/y vectors")
-    return residual_decompose(g, phi).model(policy.x, policy.y)
+    return _split_rows(g, s_mask, sr_mask, _check_phi(phi), neighborhood).model(policy.x, policy.y)
 
 
 def lfpr_pagerank(
@@ -207,10 +211,10 @@ def _residual_problem(
 
     def policy_point(kind):
         """``(loss, u, p)`` of a fixed policy, from one forward solve."""
-        x, y = _fixed_policy_vectors(kind, g.red, ~g.red, p_o)
-        p = solve_left(split.model(x, y), jump, gamma, tol=INNER_TOL, counts=counts)
+        policy = make_policy(kind, g, p_o)
+        p = solve_left(split.model(policy.x, policy.y), jump, gamma, tol=INNER_TOL, counts=counts)
         paid = scale * (owed @ p)
-        return float((p - p_o) @ (p - p_o)), paid[0] * x + paid[1] * y, p
+        return float((p - p_o) @ (p - p_o)), paid[0] * policy.x + paid[1] * policy.y, p
 
     starts = [policy_point(kind) for kind in (PolicyKind.UNIFORM, PolicyKind.PROPORTIONAL)]
     _, start, start_scores = min(starts, key=lambda point: point[0])
@@ -332,34 +336,6 @@ def _split_rows(
     return ResidualDecomposition(base, delta_r, delta_b, rest, rho, short)
 
 
-def build_targeted_model(
-    g: ColoredGraph,
-    s_mask: np.ndarray,
-    sr_mask: np.ndarray,
-    phi: float,
-    kind: PolicyKind | str,
-    p_o: np.ndarray | None = None,
-) -> TransitionModel:
-    """Transitions whose in-target mass is split ``phi``-fairly per row.
-
-    Out-of-target entries are untouched; whatever probability a row sends
-    into the target set is reallocated so the protected part receives a
-    ``phi`` share of it, using the same policy choices as the global
-    models.  Sinks split their uniform row the same way, so every
-    effective row is targeted-fair and the fixed point satisfies
-    ``PR(S_R) = phi * PR(S)`` exactly.
-    """
-    phi = _check_phi(phi)
-    kind = PolicyKind(kind)
-    if kind is PolicyKind.OPTIMIZED:
-        raise ValueError("optimized residual policy is not supported for targeted runs")
-    sb_mask = s_mask & ~sr_mask
-    neighborhood = kind is PolicyKind.NEIGHBORHOOD
-    # The neighborhood split owes a missing part in full, spread uniformly.
-    x, y = _fixed_policy_vectors(PolicyKind.UNIFORM if neighborhood else kind, sr_mask, sb_mask, p_o)
-    return _split_rows(g, s_mask, sr_mask, phi, neighborhood).model(x, y)
-
-
 def targeted_lfpr(
     g: ColoredGraph,
     s,
@@ -376,8 +352,11 @@ def targeted_lfpr(
     is positive on S: the target set always receives mass.
     """
     s_mask, sr_mask = _check_target_sets(g, s, s_r)
-    if PolicyKind(kind) is PolicyKind.PROPORTIONAL and p_o is None:
+    kind = PolicyKind(kind)
+    if kind is PolicyKind.OPTIMIZED:
+        raise ValueError("optimized residual policy is not supported for targeted runs")
+    if kind is PolicyKind.PROPORTIONAL and p_o is None:
         p_o = pagerank(standard_transition(g), gamma)
-    model = build_targeted_model(g, s_mask, sr_mask, phi, kind, p_o=p_o)
+    model = build_residual_model(g, phi, make_policy(kind, g, p_o, s_mask, sr_mask), s_mask, sr_mask)
     v = targeted_jump(g, s_mask, sr_mask, phi)
     return solve_left(model, check_distribution(v), gamma)

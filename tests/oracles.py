@@ -1,14 +1,17 @@
 """Test-only oracles: row checks of transition models, dense solvers of the
 optimizers' QPs, exact but quadratic in memory, the plain fixed-point loop,
-the synthetic generator on the Generator's scalar draws, and the locally
-fair row split in its earlier, mask-assignment form."""
+the synthetic generator on the Generator's scalar draws, the locally fair
+row split in its earlier, mask-assignment form, and the targeted model
+builder as it stood before the global and targeted builders merged."""
 
 import numpy as np
 
 from fairpr.errors import ConvergenceError, InfeasibleError
 from fairpr.graph import ColoredGraph, from_edges
-from fairpr.lfpr import ResidualDecomposition
-from fairpr.pagerank import DEFAULT_GAMMA, INNER_TOL, SparseRows, _check_gamma, solve_left
+from fairpr.lfpr import PolicyKind, ResidualDecomposition, _split_rows
+from fairpr.pagerank import (
+    DEFAULT_GAMMA, INNER_TOL, SparseRows, TransitionModel, _check_gamma, _check_phi, solve_left,
+)
 from fairpr.synth import _seed_colors, child_seed
 
 
@@ -244,3 +247,38 @@ def split_rows_reference(
 
     base = SparseRows(data, g.indices, g.indptr)
     return ResidualDecomposition(base, delta_r, delta_b, rest, rho, short)
+
+
+def _fixed_policy_vectors(kind: PolicyKind, red_part, blue_part, p_o) -> tuple[np.ndarray, np.ndarray]:
+    """The uniform or proportional (x, y) pair over the two parts of a split."""
+    if kind is PolicyKind.UNIFORM:
+        return red_part / red_part.sum(), blue_part / blue_part.sum()
+    if p_o is None:
+        raise ValueError("proportional policy needs the original scores p_o")
+    p_o = np.asarray(p_o, dtype=float)
+    xv = np.where(red_part, np.maximum(p_o, 0.0), 0.0)
+    yv = np.where(blue_part, np.maximum(p_o, 0.0), 0.0)
+    if xv.sum() <= 0 or yv.sum() <= 0:
+        raise ValueError("proportional policy undefined: a group has zero score mass")
+    return xv / xv.sum(), yv / yv.sum()
+
+
+def targeted_model_reference(
+    g: ColoredGraph,
+    s_mask: np.ndarray,
+    sr_mask: np.ndarray,
+    phi: float,
+    kind: PolicyKind | str,
+    p_o: np.ndarray | None = None,
+) -> TransitionModel:
+    """``lfpr.build_targeted_model`` as it stood beside ``build_residual_model``:
+    its own copy of the uniform and proportional (x, y) vectors on S_R and S_B."""
+    phi = _check_phi(phi)
+    kind = PolicyKind(kind)
+    if kind is PolicyKind.OPTIMIZED:
+        raise ValueError("optimized residual policy is not supported for targeted runs")
+    sb_mask = s_mask & ~sr_mask
+    neighborhood = kind is PolicyKind.NEIGHBORHOOD
+    # The neighborhood split owes a missing part in full, spread uniformly.
+    x, y = _fixed_policy_vectors(PolicyKind.UNIFORM if neighborhood else kind, sr_mask, sb_mask, p_o)
+    return _split_rows(g, s_mask, sr_mask, phi, neighborhood).model(x, y)

@@ -499,6 +499,52 @@ def test_meaningless_gamma_exits_1_with_a_precise_message(tmp_path, graph_files,
     assert not (tmp_path / "scores.csv").exists()
 
 
+GONE = ["--edges", "no-such-edges.tsv", "--colors", "no-such-colors.tsv"]
+GAMMA, PHI = "gamma must lie strictly between 0 and 1, got", "phi must lie strictly between 0 and 1, got"
+TARGETS = ["--target-set", "s.txt", "--target-protected", "sr.txt"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rank", *GONE, "--algo", "lfpr-n", "--phi", "0.3", "--gamma", "0"], f"{GAMMA} 0.0"),
+        (["audit", *GONE, "--gamma", "1"], f"{GAMMA} 1.0"),
+        (["sweep", *GONE, "--phi", "0.3", "--gamma", "-0.2"], f"{GAMMA} -0.2"),
+        (["rank", *GONE, "--algo", "fspr", "--phi", "1.5"], f"{PHI} 1.5"),
+        (["audit", *GONE, "--algo", "opr", "--phi", "0"], f"{PHI} 0.0"),
+        (["rank", *GONE, "--algo", "lfpr-u"], "--phi is required for this algorithm"),
+        (["audit", *GONE, "--algo", "lfpr-p"], "--phi is required for this algorithm"),
+        (["rank", *GONE, "--algo", "lfpr-n", "--phi", "0.3", "--target-set", "s.txt"],
+         "targeted runs need both --target-set and --target-protected"),
+        (["rank", *GONE, "--algo", "lfpr-n", "--phi", "0.3", "--target-protected", "sr.txt"],
+         "targeted runs need both --target-set and --target-protected"),
+        (["rank", *GONE, "--algo", "opr", *TARGETS], "targeted runs are not supported for --algo opr"),
+        (["rank", *GONE, "--algo", "lfpr-o", "--phi", "0.3", *TARGETS],
+         "targeted runs are not supported for --algo lfpr-o"),
+    ],
+)
+def test_meaningless_flags_exit_1_before_any_file_is_read(tmp_path, capsys, monkeypatch, argv, message):
+    # the graph files do not exist: a flag found only after the load would report that instead
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "out"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [
+    ["generate", "--n", "100", "--r", "0.3", "--alpha-red", "0.5", "--alpha-blue", "0.5"],
+    ["sweep", "--grid-n", "100", "--phi", "0.3"],
+])
+def test_a_meaningless_gamma_exits_1_before_a_graph_is_grown(tmp_path, capsys, monkeypatch, command):
+    def grow(*args, **kwargs):
+        raise AssertionError("synth.generate called")
+
+    monkeypatch.setattr(fairpr.synth, "generate", grow)
+    assert main([*command, "--gamma", "0", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {GAMMA} 0.0\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("phi", ["nan", "inf", "0", "1", "1.5", "-0.2"])
 def test_meaningless_phi_exits_1_with_a_precise_message(tmp_path, graph_files, capsys, phi):
     edges, colors, _ = graph_files

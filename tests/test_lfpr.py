@@ -13,7 +13,6 @@ from fairpr.lfpr import (
     _split_rows,
     build_fair_jump,
     build_residual_model,
-    build_targeted_model,
     lfpr_pagerank,
     make_policy,
     optimize_residuals,
@@ -23,7 +22,7 @@ from fairpr.lfpr import (
 )
 from fairpr.pagerank import dense_q, pagerank, solve_left, solve_right, standard_transition
 from fairpr.synth import SynthConfig, generate
-from oracles import row_sums, solve_fspr_dense, split_rows_reference, validate
+from oracles import row_sums, solve_fspr_dense, split_rows_reference, targeted_model_reference, validate
 
 KINDS = (PolicyKind.NEIGHBORHOOD, PolicyKind.UNIFORM, PolicyKind.PROPORTIONAL)
 
@@ -403,7 +402,7 @@ def test_targeted_model_rows_split_target_mass():
     phi = 0.6
     s_mask = np.isin(np.arange(g.n), s)
     sr_mask = np.isin(np.arange(g.n), s_r)
-    model = build_targeted_model(g, s_mask, sr_mask, phi, "uniform")
+    model = build_residual_model(g, phi, make_policy("uniform", g, None, s_mask, sr_mask), s_mask, sr_mask)
     validate(model)
     in_s = model.apply_right(s_mask.astype(float))
     in_sr = model.apply_right(sr_mask.astype(float))
@@ -454,7 +453,7 @@ def test_phi_out_of_range_rejected(phi):
 
 def test_global_builders_are_the_targeted_builder_at_s_all():
     # global phi-fairness is targeted fairness with S = all nodes and S_R = red,
-    # and the global builders must reproduce that model bit for bit
+    # and the builder's default masks must reproduce that model bit for bit
     rng = np.random.default_rng(13)
     for phi in (0.1, 0.3, 0.7):
         g = random_colored_graph(rng, 60, sink_frac=0.1)
@@ -462,7 +461,7 @@ def test_global_builders_are_the_targeted_builder_at_s_all():
         p_o = pagerank(standard_transition(g))
         dec = residual_decompose(g, phi)
         for kind in KINDS:
-            targeted = build_targeted_model(g, everyone, g.red, phi, kind, p_o=p_o)
+            targeted = build_residual_model(g, phi, make_policy(kind, g, p_o, everyone, g.red), everyone, g.red)
             policy = make_policy(kind, g, p_o=p_o)
             model = build_residual_model(g, phi, policy)
             if kind is not PolicyKind.NEIGHBORHOOD:
@@ -502,8 +501,14 @@ def split_cases(draw):
 def test_row_split_is_targeted_fair_and_leaves_the_rest_alone(case):
     g, s_mask, sr_mask, phi, kind = case
     p_o = pagerank(standard_transition(g))
-    model = build_targeted_model(g, s_mask, sr_mask, phi, kind, p_o=p_o)
+    model = build_residual_model(g, phi, make_policy(kind, g, p_o, s_mask, sr_mask), s_mask, sr_mask)
     validate(model)
+    # the merged builder is the earlier targeted builder bit for bit
+    want = targeted_model_reference(g, s_mask, sr_mask, phi, kind, p_o=p_o)
+    assert np.array_equal(model.base.data, want.base.data)
+    assert len(model.residuals) == len(want.residuals)
+    for (d_a, t_a), (d_b, t_b) in zip(model.residuals, want.residuals):
+        assert np.array_equal(d_a, d_b) and np.array_equal(t_a, t_b)
     np.testing.assert_allclose(
         model.apply_right(sr_mask.astype(float)), phi * model.apply_right(s_mask.astype(float)),
         rtol=0.0, atol=1e-12,
