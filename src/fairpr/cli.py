@@ -25,6 +25,7 @@ LFPR_KINDS = {
     "lfpr-p": lfpr.PolicyKind.PROPORTIONAL,
 }
 ALGOS = ("opr", "fspr", "lfpr-n", "lfpr-u", "lfpr-p", "lfpr-o")
+FILE_FLAGS = ("edges", "colors", "target_set", "target_protected")
 GRID_FLAGS = ("grid_n", "grid_r", "grid_alpha_red", "grid_alpha_blue", "grid_seeds", "seed")
 
 
@@ -101,14 +102,15 @@ def _rank_once(g, algo, args, phi, p_o, gamma, targets):
 
 def cmd_rank(args) -> int:
     _solver_flags(args, [args.algo])
-    if bool(args.target_set) != bool(args.target_protected):
+    targeted = args.target_set is not None
+    if targeted != (args.target_protected is not None):
         raise ValueError("targeted runs need both --target-set and --target-protected")
-    _check_algo_flags(args, targeted=bool(args.target_set))
+    _check_algo_flags(args, targeted)
     g = graph.load_graph(args.edges, args.colors)
     gamma = args.gamma
     p_o = pagerank(standard_transition(g), gamma)
     targets = None
-    if args.target_set:
+    if targeted:
         targets = (graph.load_node_ids(args.target_set), graph.load_node_ids(args.target_protected))
 
     scores, extras, policy = _rank_once(g, args.algo, args, args.phi, p_o, gamma, targets)
@@ -136,8 +138,8 @@ def cmd_rank(args) -> int:
 
 
 def _sweep_instances(args):
-    if args.edges or args.colors:
-        if not (args.edges and args.colors):
+    if args.edges is not None or args.colors is not None:
+        if args.edges is None or args.colors is None:
             raise ValueError("need both --edges and --colors")
         grid = [f"--{k.replace('_', '-')}" for k in GRID_FLAGS if getattr(args, k) is not None]
         if grid:
@@ -247,8 +249,24 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _number(kind):
+    """Parser of an ``int`` or ``float`` option that rejects the ``_`` separators and
+    non-ASCII digits Python's own parsers accept, as node ids and counts do."""
+
+    def parse(text: str):
+        if not text.isascii() or "_" in text:
+            raise argparse.ArgumentTypeError(f"expected a number in ASCII digits without '_', got {text!r}")
+        return kind(text)
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid float value: ..."
+    return parse
+
+
+_int, _float = _number(int), _number(float)
+
+
 def _tolerance(text: str) -> float:
-    tol = float(text)
+    tol = _float(text)
     if not (np.isfinite(tol) and tol > 0.0):
         raise argparse.ArgumentTypeError(f"tol must be a positive finite number, got {text}")
     return tol
@@ -267,7 +285,7 @@ def _count(name: str, least: int = 1):
 
 
 def _float_list(text: str) -> list[float]:
-    values = [float(tok) for tok in text.split(",") if tok]
+    values = [_float(tok) for tok in text.split(",") if tok]
     if not values:
         raise argparse.ArgumentTypeError(f"expected a comma-separated list of numbers, got {text!r}")
     return values
@@ -290,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, graph="required"):
         """Flags of every subcommand, plus, unless ``graph`` is None (generate), the graph
         files ("required" or "optional") and the solver's ``--tol`` and ``--iters``."""
-        p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
+        p.add_argument("--gamma", type=_float, default=DEFAULT_GAMMA)
         p.add_argument("--out", default=".", help="output directory")
         if graph is None:
             return
@@ -304,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank = sub.add_parser("rank", help="compute one fair ranking")
     common(p_rank)
     p_rank.add_argument("--algo", choices=ALGOS, required=True)
-    p_rank.add_argument("--phi", type=float, default=None, help="target red share")
+    p_rank.add_argument("--phi", type=_float, default=None, help="target red share")
     p_rank.add_argument("--target-set", default=None, help="file of node ids")
     p_rank.add_argument("--target-protected", default=None, help="file of protected ids")
     p_rank.set_defaults(func=cmd_rank)
@@ -317,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default=["fspr", "lfpr-n", "lfpr-u", "lfpr-p"],
                          help="comma-separated algorithms")
     # The grid flags default to None, so that a sweep over files can reject them.
-    p_sweep.add_argument("--grid-n", type=int)
+    p_sweep.add_argument("--grid-n", type=_int)
     p_sweep.add_argument("--grid-r", type=_float_list, help="default 0.3")
     p_sweep.add_argument("--grid-alpha-red", type=_float_list, help="default 0.5")
     p_sweep.add_argument("--grid-alpha-blue", type=_float_list, help="default 0.5")
@@ -328,19 +346,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit = sub.add_parser("audit", help="personalized fairness audit")
     common(p_audit)
     p_audit.add_argument("--algo", choices=[a for a in ALGOS if a != "fspr"], default="opr")
-    p_audit.add_argument("--phi", type=float, default=None)
+    p_audit.add_argument("--phi", type=_float, default=None)
     p_audit.add_argument("--sample", type=_count("sample"), default=None, help="audit sample size")
     p_audit.add_argument("--seed", type=_count("seed", 0), default=0, help="seed of the audit sample")
     p_audit.set_defaults(func=cmd_audit)
 
     p_gen = sub.add_parser("generate", help="grow a synthetic colored graph")
     common(p_gen, graph=None)
-    p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--r", type=float, required=True, help="red arrival probability")
-    p_gen.add_argument("--alpha-red", type=float, required=True)
-    p_gen.add_argument("--alpha-blue", type=float, required=True)
-    p_gen.add_argument("--n0", type=int, default=10, help="seed ring size")
-    p_gen.add_argument("--edges-per-node", type=int, default=1)
+    p_gen.add_argument("--n", type=_int, required=True)
+    p_gen.add_argument("--r", type=_float, required=True, help="red arrival probability")
+    p_gen.add_argument("--alpha-red", type=_float, required=True)
+    p_gen.add_argument("--alpha-blue", type=_float, required=True)
+    p_gen.add_argument("--n0", type=_int, default=10, help="seed ring size")
+    p_gen.add_argument("--edges-per-node", type=_int, default=1)
     p_gen.add_argument("--seed", type=_count("seed", 0), default=0, help="generator seed")
     p_gen.set_defaults(func=cmd_generate)
     return parser
@@ -361,6 +379,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         _check_out(args.out)
+        empty = [f"--{k.replace('_', '-')}" for k in FILE_FLAGS if getattr(args, k, None) == ""]
+        if empty:  # else read as the directory "."
+            raise ValueError(f"{', '.join(empty)}: empty file name")
         _check_gamma(args.gamma)
         return args.func(args)
     except InfeasibleError as exc:

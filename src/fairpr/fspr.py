@@ -101,9 +101,7 @@ class FsprProblem:
 
     ``Q`` is the resolvent of ``model``.  A 1-D ``constraint`` is the ``a``
     of ``B = [1; a]``, ``c = (1, rhs)``: jump vectors with red mass ``u' q_r``.
-    A 2-D one is ``B``, with ``c = rhs``.  ``start`` is a feasible point
-    that a solve which runs out of steps returns where its loss is the lower;
-    ``start_scores``, its scores if known, warm-start its forward solve.
+    A 2-D one is ``B``, with ``c = rhs``.
     """
 
     model: TransitionModel
@@ -112,10 +110,7 @@ class FsprProblem:
     constraint: np.ndarray
     rhs: float | np.ndarray
     q_r: np.ndarray | None = None
-    phi: float | None = None
     shift: np.ndarray | None = None
-    start: np.ndarray | None = None
-    start_scores: np.ndarray | None = None
 
 
 def fspr_problem(
@@ -129,7 +124,7 @@ def fspr_problem(
     if p_o is None:
         p_o = pagerank(model, gamma)
     q_r = red_absorption_vector(model, g, gamma)
-    return FsprProblem(model=model, gamma=gamma, p_o=p_o, q_r=q_r, phi=phi, constraint=q_r, rhs=phi)
+    return FsprProblem(model=model, gamma=gamma, p_o=p_o, q_r=q_r, constraint=q_r, rhs=phi)
 
 
 def targeted_fspr_problem(
@@ -146,7 +141,7 @@ def targeted_fspr_problem(
     problem = fspr_problem(model, g, phi, gamma, p_o)
     q_s = absorption_vector(model, s_mask.astype(float), gamma)
     q_sr = absorption_vector(model, sr_mask.astype(float), gamma)
-    return replace(problem, constraint=q_sr - problem.phi * q_s, rhs=0.0)
+    return replace(problem, constraint=q_sr - problem.rhs * q_s, rhs=0.0)
 
 
 @dataclass(frozen=True)
@@ -192,8 +187,7 @@ def solve_fspr(problem: FsprProblem, tol: float = KKT_TOL, max_iters: int = MAX_
     met.  Returns the first certified point whose unit-step projected-gradient
     residual ``|| u - proj(u - grad f(u)) ||_2`` is within ``tol``.  A solve
     that runs out of its ``max_iters`` dual steps returns its lowest-residual
-    certified point, or the problem's ``start`` where that has the lower loss,
-    flagged non-converged.
+    certified point, flagged non-converged.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be a positive finite number, got {tol}")
@@ -323,11 +317,8 @@ def solve_fspr(problem: FsprProblem, tol: float = KKT_TOL, max_iters: int = MAX_
         if d.any():  # a zero step would spend its two products on zero vectors
             mu, z, grad = moved(d, 1.0, hessian(d))
         direction = None
-    if best is None or (best[0] > tol and problem.start is not None):
-        # Out of steps, or at an exact dual optimum: the start, where given, if its loss is the lower.
-        start = project(np.full(model.n, 1.0 / model.n)) if problem.start is None else problem.start
-        point = certified(start, problem.start_scores, None)
-        best = point if best is None or point[1] < best[1] else best
+    if best is None:  # nothing certified: the projected uniform point
+        best = certified(project(np.full(model.n, 1.0 / model.n)), None, None)
     kkt, loss, x, scores, _ = best
     return FsprSolution(
         x=x,

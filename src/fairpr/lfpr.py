@@ -177,8 +177,8 @@ def lfpr_pagerank(
 @dataclass(frozen=True)
 class OptimizedSearchResult:
     """The optimized policy, its diagnostics, and its work (``iterations``: dual steps;
-    ``evaluations``: forward solves; ``matvecs``: transition products), the last two
-    counting the problem's own solves too."""
+    ``evaluations``: forward solves, the fixed policies' too where the search ran out
+    of steps; ``matvecs``: transition products, the problem's own solves too)."""
 
     policy: ResidualPolicy
     loss: float
@@ -198,8 +198,7 @@ def _residual_problem(
     locally fair fixed point becomes ``p' = (u + v)' Q`` for the fair jump
     ``v`` and the resolvent ``Q`` of ``P_L`` alone.  Summing u over each group
     and writing ``p' delta = (u + v)' Q delta`` gives its two equalities.  Its
-    ``start`` is the better of the uniform and proportional policies, with its
-    scores.  Its four solves add their products to ``counts["matvecs"]`` as in
+    two adjoint solves add their products to ``counts["matvecs"]`` as in
     :func:`fairpr.pagerank.solve_left`.
     """
     split = residual_decompose(g, phi)
@@ -208,16 +207,6 @@ def _residual_problem(
     owed = np.vstack([split.delta_red, split.delta_blue])
     bare = TransitionModel(split.base)
     q = np.vstack([solve_right(bare, d, gamma, tol=INNER_TOL, counts=counts) for d in owed])
-
-    def policy_point(kind):
-        """``(loss, u, p)`` of a fixed policy, from one forward solve."""
-        policy = make_policy(kind, g, p_o)
-        p = solve_left(split.model(policy.x, policy.y), jump, gamma, tol=INNER_TOL, counts=counts)
-        paid = scale * (owed @ p)
-        return float((p - p_o) @ (p - p_o)), paid[0] * policy.x + paid[1] * policy.y, p
-
-    starts = [policy_point(kind) for kind in (PolicyKind.UNIFORM, PolicyKind.PROPORTIONAL)]
-    _, start, start_scores = min(starts, key=lambda point: point[0])
     return FsprProblem(
         model=bare,
         gamma=gamma,
@@ -225,8 +214,6 @@ def _residual_problem(
         constraint=np.vstack([g.red, ~g.red]) - scale * q,
         rhs=scale * (q @ jump),
         shift=jump,
-        start=start,
-        start_scores=start_scores,
     )
 
 
@@ -251,12 +238,13 @@ def optimize_residuals(
     ``||p(x, y) - p_o||^2`` is a convex quadratic in the owed mass ``u``
     that the policy pays out (see :func:`_residual_problem`), so
     :func:`fairpr.fspr.solve_fspr` minimizes it, in at most ``iterations``
-    dual steps and to a KKT residual of ``tol``, measured in u.  A search
-    that runs out of steps returns the better of the uniform and
-    proportional policies where that has the lower loss, so it is never
-    worse than either fixed policy.  The policy is u normalized per group:
-    ``x = u_R / sum u_R``, uniform where a group is owed nothing, and
-    likewise y.
+    dual steps and to a KKT residual of ``tol``, measured in u.  The policy
+    is u normalized per group: ``x = u_R / sum u_R``, uniform where a group
+    is owed nothing, and likewise y.  Only a search that runs out of steps
+    solves the uniform and proportional policies; it returns the better one's
+    x, y and loss where that loss is the lower, so it is never worse than
+    either fixed policy, still flagged non-converged with the dual's
+    ``kkt_residual``.
     """
     phi = _check_phi(phi)
     if iterations < 1:
@@ -265,13 +253,22 @@ def optimize_residuals(
         p_o = pagerank(standard_transition(g), gamma)
     counts = {"matvecs": 0}
     sol = solve_fspr(_residual_problem(g, phi, gamma, p_o, counts), tol=tol, max_iters=iterations)
+    x, y, loss, evaluations = _normalized(sol.x, g.red), _normalized(sol.x, ~g.red), sol.loss, sol.certificates
+    if not sol.converged:  # out of steps: the better fixed policy, where its loss is the lower
+        jump = build_fair_jump(g, phi)
+        for kind in (PolicyKind.UNIFORM, PolicyKind.PROPORTIONAL):
+            policy = make_policy(kind, g, p_o)
+            p = solve_left(build_residual_model(g, phi, policy), jump, gamma, tol=INNER_TOL, counts=counts)
+            fixed, evaluations = float((p - p_o) @ (p - p_o)), evaluations + 1
+            if fixed < loss:
+                x, y, loss = policy.x, policy.y, fixed
     return OptimizedSearchResult(
-        policy=ResidualPolicy(PolicyKind.OPTIMIZED, x=_normalized(sol.x, g.red), y=_normalized(sol.x, ~g.red)),
-        loss=sol.loss,
+        policy=ResidualPolicy(PolicyKind.OPTIMIZED, x=x, y=y),
+        loss=loss,
         converged=sol.converged,
         kkt_residual=sol.kkt_residual,
         iterations=sol.iterations,
-        evaluations=sol.certificates + 2,  # with the problem's own solves
+        evaluations=evaluations,
         matvecs=sol.matvecs + counts["matvecs"],
     )
 

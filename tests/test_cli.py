@@ -778,10 +778,17 @@ def test_solver_flags_without_a_solver_that_reads_them_exit_1(tmp_path, graph_fi
     assert not (tmp_path / "out").exists()
 
 
+@pytest.fixture
+def work(monkeypatch):
+    """A list that gains one entry per graph loaded or generated from now on."""
+    calls = []
+    for module, name in ((fairpr.graph, "load_graph"), (fairpr.synth, "generate")):
+        monkeypatch.setattr(module, name, lambda *a, f=getattr(module, name), **k: calls.append(1) or f(*a, **k))
+    return calls
+
+
 @pytest.mark.parametrize("command", ["rank", "sweep", "audit", "generate"])
-def test_an_out_that_cannot_be_a_directory_exits_1_before_any_work(
-    tmp_path, graph_files, capsys, monkeypatch, command
-):
+def test_an_out_that_cannot_be_a_directory_exits_1_before_any_work(tmp_path, graph_files, capsys, work, command):
     # a file, or a path under one: rejected before the graph is loaded or generated, and nothing is created
     edges, colors, _ = graph_files
     graph = ["--edges", str(edges), "--colors", str(colors)]
@@ -791,9 +798,6 @@ def test_an_out_that_cannot_be_a_directory_exits_1_before_any_work(
         "audit": ["audit", *graph],
         "generate": ["generate", "--n", "30", "--r", "0.3", "--alpha-red", "0.5", "--alpha-blue", "0.5"],
     }[command]
-    work = []
-    for module, name in ((fairpr.graph, "load_graph"), (fairpr.synth, "generate")):
-        monkeypatch.setattr(module, name, lambda *a, f=getattr(module, name), **k: work.append(1) or f(*a, **k))
     blocker = tmp_path / "afile"
     blocker.write_text("x")
     for out in (blocker, blocker / "sub"):
@@ -955,6 +959,64 @@ def test_a_negative_or_non_ascii_seed_exits_1_naming_the_flag(tmp_path, capsys, 
     assert f"argument --seed: seed must be a non-negative integer, got {argv[argv.index('--seed') + 1]}" in err
     assert "no-edges.tsv" not in err
     assert not (tmp_path / "out").exists()
+
+
+GENERATE = ["generate", "--n", "300", "--r", "0.3", "--alpha-red", "0.5", "--alpha-blue", "0.5"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (GENERATE, "--n", "3_00"),
+        (GENERATE, "--n0", "1_0"),
+        (GENERATE, "--edges-per-node", "\u0662"),
+        (GENERATE, "--r", "\u0660.3"),
+        (GENERATE, "--alpha-red", "0.5".translate(FULLWIDTH)),
+        (GENERATE, "--alpha-blue", "0.5_0"),
+        (["rank", "--algo", "fspr", "--phi", "0.3"], "--phi", "\u0660.\u0663"),
+        (["rank", "--algo", "fspr", "--phi", "0.3"], "--gamma", "0.1_5"),
+        (["rank", "--algo", "fspr", "--phi", "0.3"], "--tol", "1_0e-9"),
+        (["audit", "--algo", "lfpr-n"], "--phi", "0.3".translate(ARABIC_INDIC)),
+        (["sweep", "--grid-n", "300"], "--phi", "\u0660.\u0663,0.4"),
+        (["sweep", "--phi", "0.3"], "--grid-n", "\u0663\u0660\u0660"),
+        (["sweep", "--grid-n", "300", "--phi", "0.3"], "--grid-r", "\u0660.3"),
+        (["sweep", "--grid-n", "300", "--phi", "0.3"], "--grid-alpha-red", "0.5,0_5"),
+        (["sweep", "--grid-n", "300", "--phi", "0.3"], "--grid-alpha-blue", "0.5".translate(FULLWIDTH)),
+    ],
+)
+def test_a_number_with_an_underscore_or_non_ascii_digits_exits_1_naming_the_flag(
+    tmp_path, capsys, work, argv, flag, value
+):
+    # Python's int and float read both; a number the CLI accepts is one in ASCII digits
+    if argv[0] in ("rank", "audit"):  # missing files: the flag is rejected before any file is read
+        argv = [*argv, "--edges", str(tmp_path / "no-edges.tsv"), "--colors", str(tmp_path / "no-colors.tsv")]
+    assert main([*argv, flag, value, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected a number in ASCII digits without '_', got " in err
+    assert "no-edges.tsv" not in err and not work
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["rank", "--algo", "lfpr-n", "--phi", "0.3", "--target-set", "", "--target-protected", ""],
+         "--target-set, --target-protected"),
+        (["rank", "--algo", "lfpr-n", "--phi", "0.3", "--target-set", "", "--target-protected", "sr.txt"],
+         "--target-set"),
+        (["rank", "--algo", "fspr", "--phi", "0.3", "--edges", ""], "--edges"),
+        (["sweep", "--edges", "", "--colors", "", "--grid-n", "300", "--phi", "0.3"], "--edges, --colors"),
+        (["sweep", "--colors", "", "--phi", "0.3"], "--colors"),
+    ],
+)
+def test_an_empty_file_name_exits_1_before_any_work(tmp_path, graph_files, capsys, work, argv, named):
+    # an empty name is neither an absent flag (a global rank, a grid sweep) nor the directory "."
+    edges, colors, _ = graph_files
+    graph = {"--edges": str(edges), "--colors": str(colors)}
+    argv = [*argv, *(item for flag, path in graph.items() if flag not in argv for item in (flag, path))]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {named}: empty file name\n"
+    assert not work and not (tmp_path / "out").exists()
 
 
 def test_fspr_and_lfpr_o_share_one_iteration_budget(tmp_path, graph_files, monkeypatch):

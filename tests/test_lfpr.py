@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import count_products, random_colored_graph
 from fairpr.analysis import lower_bound_loss
+from fairpr.fspr import solve_fspr
 from fairpr.graph import from_edges
 from fairpr.lfpr import (
     PolicyKind,
@@ -191,6 +192,12 @@ def test_optimized_search_is_deterministic():
     np.testing.assert_array_equal(a.policy.y, b.policy.y)
 
 
+def paid_mass(g, phi, gamma, policy, p):
+    """The mass ``u`` that the policy pays out at its locally fair scores p."""
+    dec = residual_decompose(g, phi)
+    return (1 - gamma) / gamma * ((p @ dec.delta_red) * policy.x + (p @ dec.delta_blue) * policy.y)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_utility_loss_gradient_matches_central_differences(seed):
     # graphs with sinks, at the u of a random interior policy; every coordinate
@@ -202,8 +209,7 @@ def test_utility_loss_gradient_matches_central_differences(seed):
     x, y = (np.where(mask, rng.uniform(0.5, 1.5, g.n), 0.0) for mask in (g.red, ~g.red))
     policy = ResidualPolicy(PolicyKind.OPTIMIZED, x=x / x.sum(), y=y / y.sum())
     p = lfpr_pagerank(g, phi, policy, gamma, tol=1e-14)
-    dec = residual_decompose(g, phi)
-    u = (1 - gamma) / gamma * ((p @ dec.delta_red) * policy.x + (p @ dec.delta_blue) * policy.y)
+    u = paid_mass(g, phi, gamma, policy, p)
     # u is feasible, and p is affine in it: p' = (u + v)' Q for the base alone
     np.testing.assert_allclose(problem.constraint @ u, problem.rhs, rtol=0, atol=1e-12)
     forward = lambda w: solve_left(problem.model, w + problem.shift, gamma, tol=1e-14)
@@ -225,8 +231,8 @@ def test_optimized_policy_nears_the_lower_bound():
     res = optimize_residuals(g, 0.3, p_o=p_o)
     assert res.loss <= 1.04 * lower_bound_loss(p_o, g, 0.3)
     assert res.converged and res.kkt_residual <= 1e-8 and res.iterations < 100
-    # forward solves: the problem's two and the certificate's one
-    assert res.evaluations == 3
+    # forward solves: the certificate's one; a converged search solves no fixed policy
+    assert res.evaluations == 1
 
 
 @pytest.mark.parametrize("sinks", [0.0, 0.2])
@@ -239,7 +245,9 @@ def test_optimized_policy_matches_the_dense_qp_oracle(sinks):
         p_o = pagerank(standard_transition(g))
         problem = _residual_problem(g, phi, gamma, p_o)
         q = dense_q(problem.model, gamma)
-        u = solve_fspr_dense(q, p_o, problem.constraint, problem.rhs, shift=problem.shift, start=problem.start)
+        uniform = make_policy("uniform", g)  # its paid mass is a feasible start
+        start = paid_mass(g, phi, gamma, uniform, lfpr_pagerank(g, phi, uniform, gamma, tol=1e-14))
+        u = solve_fspr_dense(q, p_o, problem.constraint, problem.rhs, shift=problem.shift, start=start)
         oracle = float(((u + problem.shift) @ q - p_o) @ ((u + problem.shift) @ q - p_o))
         res = optimize_residuals(g, phi, gamma, p_o, iterations=5000, tol=1e-10)
         assert res.converged
@@ -297,12 +305,60 @@ def test_optimized_policy_never_loses_to_a_fixed_one(seed):
 
 
 def test_optimized_search_counts_its_products(monkeypatch):
-    # the problem's own four solves and the solver's, not p_o's
+    # the problem's own two adjoint solves and the solver's, not p_o's
     g = random_colored_graph(np.random.default_rng(8), 30, sink_frac=0.1)
     p_o = pagerank(standard_transition(g))
     calls = count_products(monkeypatch)
     res = optimize_residuals(g, 0.4, p_o=p_o)
     assert res.converged and res.matvecs == len(calls) > 0
+
+
+def spy_solutions(monkeypatch):
+    """A list that gains each solution ``optimize_residuals`` gets from ``solve_fspr``."""
+    solutions = []
+
+    def spy(*args, **kwargs):
+        solutions.append(solve_fspr(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr("fairpr.lfpr.solve_fspr", spy)
+    return solutions
+
+
+def test_a_converged_search_solves_no_fixed_policy(monkeypatch):
+    # the fixed policies are the fallback of a search out of steps alone
+    g = random_colored_graph(np.random.default_rng(8), 30, sink_frac=0.1)
+    p_o = pagerank(standard_transition(g))
+    solutions, forward = spy_solutions(monkeypatch), []
+    monkeypatch.setattr("fairpr.lfpr.solve_left", lambda *a, **k: forward.append(1) or solve_left(*a, **k))
+    res = optimize_residuals(g, 0.4, p_o=p_o)
+    assert res.converged and not forward
+    assert res.evaluations == solutions[0].certificates
+
+
+def test_a_search_out_of_steps_returns_the_better_fixed_policy(monkeypatch):
+    # test_optimized_policy_never_loses_to_a_fixed_one's seed 94: one dual step
+    # ends above the better fixed policy, which is returned as it is
+    rng = np.random.default_rng(94)
+    g = random_colored_graph(rng, int(rng.integers(4, 30)), sink_frac=rng.choice([0.0, 0.2]))
+    phi = float(rng.choice([0.02, 0.05, 0.95, 0.98]))
+    p_o = pagerank(standard_transition(g))
+    fixed = []
+    for kind in ("uniform", "proportional"):
+        policy = make_policy(kind, g, p_o=p_o)
+        p = lfpr_pagerank(g, phi, policy)
+        fixed.append((float((p - p_o) @ (p - p_o)), policy))
+    loss, policy = min(fixed, key=lambda pair: pair[0])
+    solutions, calls = spy_solutions(monkeypatch), count_products(monkeypatch)
+    res = optimize_residuals(g, phi, p_o=p_o, iterations=1)
+    (sol,) = solutions
+    assert sol.loss > loss and not res.converged and res.iterations == 1
+    np.testing.assert_array_equal(res.policy.x, policy.x)
+    np.testing.assert_array_equal(res.policy.y, policy.y)
+    assert abs(res.loss - loss) <= 1e-12
+    # the dual's residual, and the two fixed policies' forward solves and products counted
+    assert res.kkt_residual == sol.kkt_residual
+    assert res.evaluations == sol.certificates + 2 and res.matvecs == len(calls)
 
 
 def test_optimized_search_converges_and_reports_its_residual():
