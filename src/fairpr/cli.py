@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import sys
 from pathlib import Path
 
@@ -25,27 +26,8 @@ LFPR_KINDS = {
     "lfpr-p": lfpr.PolicyKind.PROPORTIONAL,
 }
 ALGOS = ("opr", "fspr", "lfpr-n", "lfpr-u", "lfpr-p", "lfpr-o")
-FILE_FLAGS = ("edges", "colors", "target_set", "target_protected")
+FILE_FLAGS = ("out", "edges", "colors", "target_set", "target_protected")
 GRID_FLAGS = ("grid_n", "grid_r", "grid_alpha_red", "grid_alpha_blue", "grid_seeds", "seed")
-
-
-def _solver_flags(args, algos) -> None:
-    """Reject ``--tol`` and ``--iters`` where no algorithm of the run reads them; else fill their defaults."""
-    given = [f"--{k}" for k in ("tol", "iters") if getattr(args, k) is not None]
-    if given and not {"fspr", "lfpr-o"} & set(algos):
-        raise ValueError(f"{', '.join(given)}: only --algo fspr and lfpr-o read them")
-    args.tol, args.iters = args.tol or fspr.KKT_TOL, args.iters or fspr.MAX_DUAL_STEPS  # a given value is positive
-
-
-def _check_algo_flags(args, targeted=False) -> None:
-    """Reject, before any file is read, a ``--phi`` outside (0, 1) or missing where ``--algo``
-    needs it, and a targeted run of an algorithm without a targeted variant."""
-    if args.phi is not None:
-        _check_phi(args.phi)
-    elif args.algo != "opr":
-        raise ValueError("--phi is required for this algorithm")
-    if targeted and args.algo not in ("fspr", *LFPR_KINDS):
-        raise ValueError(f"targeted runs are not supported for --algo {args.algo}")
 
 
 def _solver_fields(algo, result, tol) -> dict:
@@ -59,15 +41,15 @@ def _solver_fields(algo, result, tol) -> dict:
     return {"iterations": result.iterations, "converged": result.converged, "kkt_residual": result.kkt_residual}
 
 
-def _lfpr_policy(g, algo, args, phi, gamma, p_o):
+def _lfpr_policy(g, algo, args, phi, p_o):
     """Residual policy of a global lfpr algorithm, plus lfpr-o's solver fields."""
     if algo != "lfpr-o":
         return lfpr.make_policy(LFPR_KINDS[algo], g, p_o=p_o), {}
-    result = lfpr.optimize_residuals(g, phi, gamma, p_o, iterations=args.iters, tol=args.tol)
+    result = lfpr.optimize_residuals(g, phi, args.gamma, p_o, iterations=args.iters, tol=args.tol)
     return result.policy, _solver_fields(algo, result, args.tol)
 
 
-def _rank_once(g, algo, args, phi, p_o, gamma, targets):
+def _rank_once(g, algo, args, phi, p_o, targets):
     """Scores plus algorithm-specific report fields for one configuration."""
     extras: dict = {"algorithm": algo}
     policy = None
@@ -76,11 +58,9 @@ def _rank_once(g, algo, args, phi, p_o, gamma, targets):
     if algo == "fspr":
         model = standard_transition(g)
         if targets is None:
-            problem = fspr.fspr_problem(model, g, phi, gamma, p_o=p_o)
+            problem = fspr.fspr_problem(model, g, phi, args.gamma, p_o=p_o)
         else:
-            problem = fspr.targeted_fspr_problem(
-                model, g, targets[0], targets[1], phi, gamma, p_o=p_o
-            )
+            problem = fspr.targeted_fspr_problem(model, g, targets[0], targets[1], phi, args.gamma, p_o=p_o)
         solution = fspr.solve_fspr(problem, tol=args.tol, max_iters=args.iters)
         scores = solution.scores
         extras.update(
@@ -92,29 +72,23 @@ def _rank_once(g, algo, args, phi, p_o, gamma, targets):
             }
         )
     elif targets is None:
-        policy, stats = _lfpr_policy(g, algo, args, phi, gamma, p_o)
-        scores = lfpr.lfpr_pagerank(g, phi, policy, gamma)
+        policy, stats = _lfpr_policy(g, algo, args, phi, p_o)
+        scores = lfpr.lfpr_pagerank(g, phi, policy, args.gamma)
         extras.update(stats)
     else:
-        scores = lfpr.targeted_lfpr(g, targets[0], targets[1], phi, LFPR_KINDS[algo], gamma, p_o=p_o)
+        scores = lfpr.targeted_lfpr(g, targets[0], targets[1], phi, LFPR_KINDS[algo], args.gamma, p_o=p_o)
     return scores, extras, policy
 
 
 def cmd_rank(args) -> int:
-    _solver_flags(args, [args.algo])
-    targeted = args.target_set is not None
-    if targeted != (args.target_protected is not None):
-        raise ValueError("targeted runs need both --target-set and --target-protected")
-    _check_algo_flags(args, targeted)
     g = graph.load_graph(args.edges, args.colors)
-    gamma = args.gamma
-    p_o = pagerank(standard_transition(g), gamma)
+    p_o = pagerank(standard_transition(g), args.gamma)
     targets = None
-    if targeted:
+    if args.target_set is not None:
         targets = (graph.load_node_ids(args.target_set), graph.load_node_ids(args.target_protected))
 
-    scores, extras, policy = _rank_once(g, args.algo, args, args.phi, p_o, gamma, targets)
-    report = analysis.make_report(scores, p_o, g, args.phi, gamma, targets)
+    scores, extras, policy = _rank_once(g, args.algo, args, args.phi, p_o, targets)
+    report = analysis.make_report(scores, p_o, g, args.phi, args.gamma, targets)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -138,46 +112,33 @@ def cmd_rank(args) -> int:
 
 
 def _sweep_instances(args):
-    if args.edges is not None or args.colors is not None:
-        if args.edges is None or args.colors is None:
-            raise ValueError("need both --edges and --colors")
-        grid = [f"--{k.replace('_', '-')}" for k in GRID_FLAGS if getattr(args, k) is not None]
-        if grid:
-            raise ValueError(f"{', '.join(grid)}: grid flags do not apply to --edges/--colors")
+    if args.edges is not None:
         yield Path(args.edges).stem, graph.load_graph(args.edges, args.colors)
         return
-    if args.grid_n is None:
-        raise ValueError("sweep needs either --edges/--colors or a --grid-n synthetic grid")
     from . import synth  # only generating commands pay for the generator's import
-    cell = 0
-    for r in args.grid_r or [0.3]:
-        for a_red in args.grid_alpha_red or [0.5]:
-            for a_blue in args.grid_alpha_blue or [0.5]:
-                for s in range(args.grid_seeds or 1):
-                    seed = int(synth.child_seed(args.seed or 0, cell).generate_state(1)[0])
-                    cell += 1
-                    name = f"synth-r{r}-aR{a_red}-aB{a_blue}-s{s}"
-                    try:
-                        g = synth.generate(synth.SynthConfig(args.grid_n, r, a_red, a_blue, seed=seed))
-                    except (ValueError, RuntimeError) as exc:
-                        g = exc
-                    yield name, g
+    grid = itertools.product(args.grid_r or [0.3], args.grid_alpha_red or [0.5], args.grid_alpha_blue or [0.5],
+                             range(args.grid_seeds or 1))
+    for cell, (r, a_red, a_blue, s) in enumerate(grid):
+        seed = int(synth.child_seed(args.seed or 0, cell).generate_state(1)[0])
+        try:
+            g = synth.generate(synth.SynthConfig(args.grid_n, r, a_red, a_blue, seed=seed))
+        except (ValueError, RuntimeError) as exc:
+            g = exc
+        yield f"synth-r{r}-aR{a_red}-aB{a_blue}-s{s}", g
 
 
 def cmd_sweep(args) -> int:
-    _solver_flags(args, args.algos)
-    gamma = args.gamma
     rows, ok_rows, infeasible_rows = [], 0, 0
     for name, g in _sweep_instances(args):
         if isinstance(g, Exception):  # a grid cell the generator rejected
             rows += [[name, a, f"{p:.17g}", "", "", "", "error", str(g)] for a in args.algos for p in args.phis]
             continue
-        p_o = pagerank(standard_transition(g), gamma)
+        p_o = pagerank(standard_transition(g), args.gamma)
         bounds: dict[float, float] = {}  # phi -> lower bound, shared by every algorithm
         for algo in args.algos:
             for phi in args.phis:
                 try:
-                    scores, _, _ = _rank_once(g, algo, args, phi, p_o, gamma, None)
+                    scores, _, _ = _rank_once(g, algo, args, phi, p_o, None)
                     mass = analysis.red_mass(scores, g)
                     if phi not in bounds:
                         bounds[phi] = analysis.lower_bound_loss(p_o, g, phi)
@@ -203,18 +164,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    _solver_flags(args, [args.algo])
-    _check_algo_flags(args)
     g = graph.load_graph(args.edges, args.colors)
     model = standard_transition(g)
     if args.algo != "opr":
         p_o = pagerank(model, args.gamma) if args.algo == "lfpr-p" else None  # lfpr-o solves its own
-        policy, _ = _lfpr_policy(g, args.algo, args, args.phi, args.gamma, p_o)
+        policy, _ = _lfpr_policy(g, args.algo, args, args.phi, p_o)
         model = lfpr.build_residual_model(g, args.phi, policy)
     # phi = None audits against the red node share.
-    audit = analysis.personalized_audit(
-        model, g, args.gamma, args.phi, sample=args.sample, seed=args.seed
-    )
+    audit = analysis.personalized_audit(model, g, args.gamma, args.phi, sample=args.sample, seed=args.seed or 0)
+    if args.seed is not None and audit.nodes.size == g.n:  # the one rule that needs the loaded graph (its n)
+        raise ValueError(f"--seed: the audit reports all {g.n} nodes and draws no sample")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     analysis.write_audit_csv(audit, out / "audit.csv")
@@ -348,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--algo", choices=[a for a in ALGOS if a != "fspr"], default="opr")
     p_audit.add_argument("--phi", type=_float, default=None)
     p_audit.add_argument("--sample", type=_count("sample"), default=None, help="audit sample size")
-    p_audit.add_argument("--seed", type=_count("seed", 0), default=0, help="seed of the audit sample")
+    p_audit.add_argument("--seed", type=_count("seed", 0), help="seed of the audit sample (default 0)")
     p_audit.set_defaults(func=cmd_audit)
 
     p_gen = sub.add_parser("generate", help="grow a synthetic colored graph")
@@ -364,11 +323,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_out(out: str) -> None:
-    """Reject, creating nothing, an ``--out`` that is not a directory or lies under an existing non-directory."""
-    existing = next((p for p in (Path(out), *Path(out).parents) if p.is_symlink() or p.exists()), None)
-    if existing is not None and not existing.is_dir():
-        raise ValueError(f"--out {out}: {existing} is not a directory")
+def _check_run(args) -> None:
+    """Reject, in this order and before any file is read or graph grown, a run whose flags alone
+    make it meaningless; then fill the defaults of ``--tol`` and ``--iters``."""
+    existing = next((p for p in (Path(args.out), *Path(args.out).parents) if p.is_symlink() or p.exists()), None)
+    if existing is not None and not existing.is_dir():  # a file, or a path under one: create nothing
+        raise ValueError(f"--out {args.out}: {existing} is not a directory")
+    empty = [f"--{k.replace('_', '-')}" for k in FILE_FLAGS if getattr(args, k, None) == ""]
+    if empty:  # else read as the directory "."
+        raise ValueError(f"{', '.join(empty)}: empty file name")
+    _check_gamma(args.gamma)
+    if args.command == "generate":
+        return
+    given = [f"--{k}" for k in ("tol", "iters") if getattr(args, k) is not None]
+    if given and not {"fspr", "lfpr-o"} & set(args.algos if args.command == "sweep" else [args.algo]):
+        raise ValueError(f"{', '.join(given)}: only --algo fspr and lfpr-o read them")
+    args.tol, args.iters = args.tol or fspr.KKT_TOL, args.iters or fspr.MAX_DUAL_STEPS  # a given value is positive
+    if args.command == "sweep":
+        grid = [f"--{k.replace('_', '-')}" for k in GRID_FLAGS if getattr(args, k) is not None]
+        if (args.edges is None) != (args.colors is None):
+            raise ValueError("need both --edges and --colors")
+        if args.edges is not None and grid:
+            raise ValueError(f"{', '.join(grid)}: grid flags do not apply to --edges/--colors")
+        if args.edges is None and args.grid_n is None:
+            raise ValueError("sweep needs either --edges/--colors or a --grid-n synthetic grid")
+        return
+    targeted = [getattr(args, k, None) is not None for k in ("target_set", "target_protected")]
+    if targeted[0] != targeted[1]:
+        raise ValueError("targeted runs need both --target-set and --target-protected")
+    if args.phi is not None:
+        _check_phi(args.phi)
+    elif args.algo != "opr":
+        raise ValueError("--phi is required for this algorithm")
+    if targeted[0] and args.algo not in ("fspr", *LFPR_KINDS):
+        raise ValueError(f"targeted runs are not supported for --algo {args.algo}")
 
 
 def main(argv=None) -> int:
@@ -378,11 +366,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        _check_out(args.out)
-        empty = [f"--{k.replace('_', '-')}" for k in FILE_FLAGS if getattr(args, k, None) == ""]
-        if empty:  # else read as the directory "."
-            raise ValueError(f"{', '.join(empty)}: empty file name")
-        _check_gamma(args.gamma)
+        _check_run(args)
         return args.func(args)
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -414,7 +414,7 @@ def test_sweep_all_infeasible_exits_2(tmp_path, graph_files):
     assert rows[0]["status"] == "infeasible"
 
 
-def test_sweep_requires_some_input(tmp_path, graph_files, capsys):
+def test_sweep_requires_some_input(tmp_path, graph_files, capsys, work):
     assert main(["sweep", "--phi", "0.3", "--out", str(tmp_path)]) == 1
     assert main(["sweep", "--edges", str(graph_files[0]), "--phi", "0.3", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.endswith("error: need both --edges and --colors\n")
@@ -429,7 +429,7 @@ def test_sweep_requires_some_input(tmp_path, graph_files, capsys):
         argv = ["sweep", *files, *grid, "--phi", "0.3", "--algo", "lfpr-u", "--out", str(tmp_path / "grid")]
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {named}: grid flags do not apply to --edges/--colors\n"
-    assert not (tmp_path / "grid").exists()
+    assert not (tmp_path / "grid").exists() and not work  # rejected before cmd_sweep is entered
 
 
 def _child_python(*args, timeout=None):
@@ -523,12 +523,12 @@ TARGETS = ["--target-set", "s.txt", "--target-protected", "sr.txt"]
          "targeted runs are not supported for --algo lfpr-o"),
     ],
 )
-def test_meaningless_flags_exit_1_before_any_file_is_read(tmp_path, capsys, monkeypatch, argv, message):
+def test_meaningless_flags_exit_1_before_any_file_is_read(tmp_path, capsys, monkeypatch, work, argv, message):
     # the graph files do not exist: a flag found only after the load would report that instead
     monkeypatch.chdir(tmp_path)
     assert main([*argv, "--out", "out"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.iterdir()) == [] and not work  # no command body is entered
 
 
 @pytest.mark.parametrize("command", [
@@ -770,20 +770,23 @@ def test_meaningless_iteration_budget_is_rejected_by_every_subcommand(tmp_path, 
         (["sweep", "--algo", "lfpr-n", "--phi", "0.3", "--iters", "1"], "--iters"),
     ],
 )
-def test_solver_flags_without_a_solver_that_reads_them_exit_1(tmp_path, graph_files, capsys, argv, named):
+def test_solver_flags_without_a_solver_that_reads_them_exit_1(tmp_path, graph_files, capsys, work, argv, named):
     # only fspr and lfpr-o read --tol and --iters; elsewhere they would be silently ignored
     edges, colors, _ = graph_files
     assert main([*argv, "--edges", str(edges), "--colors", str(colors), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {named}: only --algo fspr and lfpr-o read them\n"
-    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "out").exists() and not work  # no command body is entered
 
 
 @pytest.fixture
 def work(monkeypatch):
-    """A list that gains one entry per graph loaded or generated from now on."""
+    """A list that gains one entry, its name, per command body entered or graph loaded or generated from now on."""
     calls = []
-    for module, name in ((fairpr.graph, "load_graph"), (fairpr.synth, "generate")):
-        monkeypatch.setattr(module, name, lambda *a, f=getattr(module, name), **k: calls.append(1) or f(*a, **k))
+    spied = [(fairpr.graph, "load_graph"), (fairpr.synth, "generate")]
+    spied += [(fairpr.cli, f"cmd_{command}") for command in ("rank", "sweep", "audit", "generate")]
+    for module, name in spied:
+        f = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, f=f, n=name, **k: calls.append(n) or f(*a, **k))
     return calls
 
 
@@ -1007,16 +1010,34 @@ def test_a_number_with_an_underscore_or_non_ascii_digits_exits_1_naming_the_flag
         (["rank", "--algo", "fspr", "--phi", "0.3", "--edges", ""], "--edges"),
         (["sweep", "--edges", "", "--colors", "", "--grid-n", "300", "--phi", "0.3"], "--edges, --colors"),
         (["sweep", "--colors", "", "--phi", "0.3"], "--colors"),
+        (["generate", "--n", "60", "--r", "0.3", "--alpha-red", "0.8", "--alpha-blue", "0.5", "--out", ""], "--out"),
+        (["rank", "--algo", "fspr", "--phi", "0.3", "--out", "", "--edges", ""], "--out, --edges"),
     ],
 )
-def test_an_empty_file_name_exits_1_before_any_work(tmp_path, graph_files, capsys, work, argv, named):
+def test_an_empty_file_name_exits_1_before_any_work(tmp_path, graph_files, capsys, monkeypatch, work, argv, named):
     # an empty name is neither an absent flag (a global rank, a grid sweep) nor the directory "."
     edges, colors, _ = graph_files
-    graph = {"--edges": str(edges), "--colors": str(colors)}
+    graph = {} if argv[0] == "generate" else {"--edges": str(edges), "--colors": str(colors)}
     argv = [*argv, *(item for flag, path in graph.items() if flag not in argv for item in (flag, path))]
-    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    monkeypatch.chdir(tmp_path)  # where an empty --out would write
+    assert main(argv if "--out" in argv else [*argv, "--out", "out"]) == 1
     assert capsys.readouterr().err == f"error: {named}: empty file name\n"
-    assert not work and not (tmp_path / "out").exists()
+    assert not work and list(tmp_path.iterdir()) == []
+
+
+def test_an_audit_seed_without_a_sample_to_draw_exits_1(tmp_path, graph_files, capsys):
+    # an audit of every node draws nothing, so a --seed would be silently ignored; a sampled one reads it
+    edges, colors, g = graph_files
+    audit = ["audit", "--edges", str(edges), "--colors", str(colors), "--algo", "lfpr-u", "--phi", "0.3"]
+    for sample in ([], ["--sample", str(g.n)]):  # up to 5000 nodes, and a sample of at least n, audit all
+        assert main([*audit, *sample, "--seed", "9", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: --seed: the audit reports all {g.n} nodes and draws no sample\n"
+    assert not (tmp_path / "out").exists()
+    runs = {"seed-9": ["--seed", "9"], "seed-0": ["--seed", "0"], "default": []}
+    for name, seed in runs.items():
+        assert main([*audit, "--sample", "10", *seed, "--out", str(tmp_path / name)]) == 0
+    drawn = {name: (tmp_path / name / "audit.csv").read_bytes() for name in runs}
+    assert drawn["default"] == drawn["seed-0"] != drawn["seed-9"]  # the default seed is still 0
 
 
 def test_fspr_and_lfpr_o_share_one_iteration_budget(tmp_path, graph_files, monkeypatch):
