@@ -93,6 +93,13 @@ class PersonalizedAudit:
         return float(vals.mean()) if vals.size else float("nan")
 
 
+def audit_sample(n: int, sample: int | None) -> int | None:
+    """Size of the sample an audit of ``n`` nodes draws, or None when it reports every node."""
+    if sample is None and n > AUDIT_FULL_NODES:
+        sample = AUDIT_SAMPLE_SIZE
+    return None if sample is None or sample >= n else int(sample)
+
+
 def personalized_audit(
     m: TransitionModel,
     g: ColoredGraph,
@@ -114,12 +121,10 @@ def personalized_audit(
     phi = g.n_red / g.n if phi is None else _check_phi(phi)
     adjusted_all = absorption_vector(m, g.red.astype(float), gamma) - gamma * g.red
 
-    if sample is None and g.n > AUDIT_FULL_NODES:
-        sample = AUDIT_SAMPLE_SIZE
-    if sample is None or sample >= g.n:
+    k = audit_sample(g.n, sample)
+    if k is None:
         nodes = np.arange(g.n)  # every node: no draw, and no numpy.random import
     else:
-        k = int(sample)
         rng = np.random.default_rng(seed)
         k_red = int(round(k * g.n_red / g.n))
         k_red = min(max(k_red, 1), min(k - 1, g.n_red)) if k > 1 else 1

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import sys
 from pathlib import Path
@@ -50,11 +51,11 @@ def _lfpr_policy(g, algo, args, phi, p_o):
 
 
 def _rank_once(g, algo, args, phi, p_o, targets):
-    """Scores plus algorithm-specific report fields for one configuration."""
+    """Scores, report.json's algorithm fields, fspr's jump vector and a global lfpr's policy
+    (each None where the algorithm has none) for one configuration."""
     extras: dict = {"algorithm": algo}
-    policy = None
     if algo == "opr":
-        return p_o, extras, policy
+        return p_o, extras, None, None
     if algo == "fspr":
         model = standard_transition(g)
         if targets is None:
@@ -62,22 +63,19 @@ def _rank_once(g, algo, args, phi, p_o, targets):
         else:
             problem = fspr.targeted_fspr_problem(model, g, targets[0], targets[1], phi, args.gamma, p_o=p_o)
         solution = fspr.solve_fspr(problem, tol=args.tol, max_iters=args.iters)
-        scores = solution.scores
         extras.update(
             {
                 "fairness_residual": solution.constraint_residual,
                 "achieved_fairness": solution.achieved_fairness,
-                "jump_vector": solution.x,
                 **_solver_fields(algo, solution, args.tol),
             }
         )
-    elif targets is None:
-        policy, stats = _lfpr_policy(g, algo, args, phi, p_o)
-        scores = lfpr.lfpr_pagerank(g, phi, policy, args.gamma)
-        extras.update(stats)
-    else:
+        return solution.scores, extras, solution.x, None
+    if targets is not None:
         scores = lfpr.targeted_lfpr(g, targets[0], targets[1], phi, LFPR_KINDS[algo], args.gamma, p_o=p_o)
-    return scores, extras, policy
+        return scores, extras, None, None
+    policy, stats = _lfpr_policy(g, algo, args, phi, p_o)
+    return lfpr.lfpr_pagerank(g, phi, policy, args.gamma), {**extras, **stats}, None, policy
 
 
 def cmd_rank(args) -> int:
@@ -87,13 +85,12 @@ def cmd_rank(args) -> int:
     if args.target_set is not None:
         targets = (graph.load_node_ids(args.target_set), graph.load_node_ids(args.target_protected))
 
-    scores, extras, policy = _rank_once(g, args.algo, args, args.phi, p_o, targets)
+    scores, extras, jump, policy = _rank_once(g, args.algo, args, args.phi, p_o, targets)
     report = analysis.make_report(scores, p_o, g, args.phi, args.gamma, targets)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_scores_csv(out / "scores.csv", scores)
-    jump = extras.pop("jump_vector", None)
     if jump is not None:
         graph.write_rows(out / "solution.csv", "node,jump_prob,score", "%d,%.17g,%.17g", range(g.n), jump, scores)
     if policy is not None:  # the kind, and the nonzero x and y entries by node id
@@ -122,34 +119,28 @@ def _sweep_instances(args):
         seed = int(synth.child_seed(args.seed or 0, cell).generate_state(1)[0])
         try:
             g = synth.generate(synth.SynthConfig(args.grid_n, r, a_red, a_blue, seed=seed))
-        except (ValueError, RuntimeError) as exc:
+        except ValueError as exc:
             g = exc
         yield f"synth-r{r}-aR{a_red}-aB{a_blue}-s{s}", g
 
 
 def cmd_sweep(args) -> int:
-    rows, ok_rows, infeasible_rows = [], 0, 0
+    rows = []
     for name, g in _sweep_instances(args):
         if isinstance(g, Exception):  # a grid cell the generator rejected
             rows += [[name, a, f"{p:.17g}", "", "", "", "error", str(g)] for a in args.algos for p in args.phis]
             continue
         p_o = pagerank(standard_transition(g), args.gamma)
-        bounds: dict[float, float] = {}  # phi -> lower bound, shared by every algorithm
-        for algo in args.algos:
-            for phi in args.phis:
-                try:
-                    scores, _, _ = _rank_once(g, algo, args, phi, p_o, None)
-                    mass = analysis.red_mass(scores, g)
-                    if phi not in bounds:
-                        bounds[phi] = analysis.lower_bound_loss(p_o, g, phi)
-                    loss, bound = analysis.utility_loss(scores, p_o), bounds[phi]
-                    rows.append([name, algo, f"{phi:.17g}", f"{mass:.17g}", f"{loss:.17g}", f"{bound:.17g}", "ok", ""])
-                    ok_rows += 1
-                except InfeasibleError as exc:
-                    rows.append([name, algo, f"{phi:.17g}", "", "", "", "infeasible", str(exc)])
-                    infeasible_rows += 1
-                except (FairprError, ValueError) as exc:
-                    rows.append([name, algo, f"{phi:.17g}", "", "", "", "error", str(exc)])
+        bound = functools.cache(functools.partial(analysis.lower_bound_loss, p_o, g))  # once per phi, for every algo
+        for algo, phi in itertools.product(args.algos, args.phis):
+            cell = [name, algo, f"{phi:.17g}"]
+            try:
+                scores = _rank_once(g, algo, args, phi, p_o, None)[0]
+                mass, loss = analysis.red_mass(scores, g), analysis.utility_loss(scores, p_o)
+                rows.append(cell + [f"{mass:.17g}", f"{loss:.17g}", f"{bound(phi):.17g}", "ok", ""])
+            except (FairprError, ValueError) as exc:
+                status = "infeasible" if isinstance(exc, InfeasibleError) else "error"
+                rows.append(cell + ["", "", "", status, str(exc)])
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -157,14 +148,18 @@ def cmd_sweep(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["instance", "algorithm", "phi", "red_mass", "loss", "lower_bound_loss", "status", "message"])
         writer.writerows(rows)
-    print(f"sweep: {ok_rows} ok, {len(rows) - ok_rows} failed rows -> {out / 'sweep.csv'}")
-    if ok_rows:
+    statuses = [row[6] for row in rows]
+    ok = statuses.count("ok")
+    print(f"sweep: {ok} ok, {len(rows) - ok} failed rows -> {out / 'sweep.csv'}")
+    if ok:
         return 0
-    return 2 if infeasible_rows == len(rows) and rows else 1
+    return 2 if set(statuses) == {"infeasible"} else 1
 
 
 def cmd_audit(args) -> int:
     g = graph.load_graph(args.edges, args.colors)
+    if args.seed is not None and analysis.audit_sample(g.n, args.sample) is None:  # the one rule that needs g.n
+        raise ValueError(f"--seed: the audit reports all {g.n} nodes and draws no sample")
     model = standard_transition(g)
     if args.algo != "opr":
         p_o = pagerank(model, args.gamma) if args.algo == "lfpr-p" else None  # lfpr-o solves its own
@@ -172,8 +167,6 @@ def cmd_audit(args) -> int:
         model = lfpr.build_residual_model(g, args.phi, policy)
     # phi = None audits against the red node share.
     audit = analysis.personalized_audit(model, g, args.gamma, args.phi, sample=args.sample, seed=args.seed or 0)
-    if args.seed is not None and audit.nodes.size == g.n:  # the one rule that needs the loaded graph (its n)
-        raise ValueError(f"--seed: the audit reports all {g.n} nodes and draws no sample")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     analysis.write_audit_csv(audit, out / "audit.csv")
@@ -368,12 +361,9 @@ def main(argv=None) -> int:
     try:
         _check_run(args)
         return args.func(args)
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (FairprError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, InfeasibleError) else 1
 
 
 if __name__ == "__main__":

@@ -140,8 +140,8 @@ def generate(cfg: SynthConfig) -> ColoredGraph:
 
     Regenerates, up to ten times, with a shifted stream in the rare case a
     color group ends up empty (possible only for tiny n or extreme ``red_fraction``).
-    Raises ``ValueError`` when one edge takes ``MAX_EDGE_DRAWS`` candidate
-    draws, which a homophily within ~1e-6 of 0 or 1 can cause.
+    Raises ``ValueError`` when it runs out of attempts, or when one edge takes
+    ``MAX_EDGE_DRAWS`` candidate draws (a homophily within ~1e-6 of 0 or 1).
     """
     for attempt in range(10):
         random, integers = _draws(np.random.default_rng(child_seed(cfg.seed, attempt)).bit_generator)
@@ -179,4 +179,4 @@ def generate(cfg: SynthConfig) -> ColoredGraph:
             if attempt > 0:
                 logger.warning("regenerated graph %d time(s) to get both colors", attempt)
             return graph
-    raise RuntimeError("could not generate a graph with both color groups")
+    raise ValueError("could not generate a graph with both color groups")

@@ -89,6 +89,15 @@ def test_generate_gives_up_on_a_homophily_too_close_to_zero(tmp_path):
     assert not (tmp_path / "edges.tsv").exists()
 
 
+@pytest.mark.parametrize("config", [["--n", "12", "--n0", "3", "--r", "0.999"], ["--n", "10", "--r", "0.99"]])
+def test_generate_out_of_regenerations_exits_1_with_a_message(tmp_path, capsys, config):
+    # ten attempts whose seed rings stay all red: a message, no traceback, and nothing created
+    argv = ["generate", *config, "--alpha-red", "0.5", "--alpha-blue", "0.5", "--out", str(tmp_path / "g")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: could not generate a graph with both color groups\n"
+    assert not (tmp_path / "g").exists()
+
+
 @pytest.mark.parametrize("algo", ["opr", "fspr", "lfpr-n", "lfpr-u", "lfpr-p"])
 def test_rank_algorithms(tmp_path, graph_files, algo):
     edges, colors, g = graph_files
@@ -412,6 +421,27 @@ def test_sweep_all_infeasible_exits_2(tmp_path, graph_files):
     with open(tmp_path / "sweep.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["status"] == "infeasible"
+
+
+@pytest.mark.parametrize(
+    "phis, algos, statuses, code",
+    [
+        ("0.3", "lfpr-u", ["ok"], 0),
+        ("0.3,0.999", "fspr", ["ok", "infeasible"], 0),
+        ("0.999", "fspr", ["infeasible"], 2),
+        ("0.999,1.5", "fspr", ["infeasible", "error"], 1),
+        ("1.5", "fspr,lfpr-u", ["error", "error"], 1),
+    ],
+)
+def test_sweep_exit_code_and_counts_follow_its_rows(tmp_path, graph_files, capsys, phis, algos, statuses, code):
+    # 0 with any ok row, 2 when every row is infeasible, else 1
+    edges, colors, _ = graph_files
+    argv = ["sweep", "--edges", str(edges), "--colors", str(colors), "--phi", phis, "--algo", algos]
+    assert main([*argv, "--out", str(tmp_path)]) == code
+    with open(tmp_path / "sweep.csv") as fh:
+        assert [r["status"] for r in csv.DictReader(fh)] == statuses
+    ok = statuses.count("ok")
+    assert capsys.readouterr().out == f"sweep: {ok} ok, {len(statuses) - ok} failed rows -> {tmp_path / 'sweep.csv'}\n"
 
 
 def test_sweep_requires_some_input(tmp_path, graph_files, capsys, work):
@@ -1038,6 +1068,21 @@ def test_an_audit_seed_without_a_sample_to_draw_exits_1(tmp_path, graph_files, c
         assert main([*audit, "--sample", "10", *seed, "--out", str(tmp_path / name)]) == 0
     drawn = {name: (tmp_path / name / "audit.csv").read_bytes() for name in runs}
     assert drawn["default"] == drawn["seed-0"] != drawn["seed-9"]  # the default seed is still 0
+
+
+def test_a_rejected_audit_seed_exits_before_any_solve(tmp_path, graph_files, capsys, monkeypatch):
+    # lfpr-o's QP and the audit's absorption solve are the audit's work; the --seed rule needs only n
+    edges, colors, g = graph_files
+
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before the --seed rule ran")
+
+    monkeypatch.setattr(fairpr.lfpr, "optimize_residuals", solve)
+    monkeypatch.setattr(fairpr.analysis, "absorption_vector", solve)
+    argv = ["audit", "--edges", str(edges), "--colors", str(colors), "--algo", "lfpr-o", "--phi", "0.3"]
+    assert main([*argv, "--seed", "1", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: --seed: the audit reports all {g.n} nodes and draws no sample\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_fspr_and_lfpr_o_share_one_iteration_budget(tmp_path, graph_files, monkeypatch):

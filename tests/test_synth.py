@@ -135,7 +135,7 @@ def _configs(draw):
 def _generate_or_error(generator, cfg):
     try:
         return generator(cfg)
-    except RuntimeError as exc:
+    except (ValueError, RuntimeError) as exc:
         return str(exc)
 
 
