@@ -9,9 +9,12 @@ with the same inputs and seed are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
+import io
 import itertools
+import os
 import sys
 from pathlib import Path
 
@@ -19,7 +22,15 @@ import numpy as np
 
 from . import analysis, fspr, graph, lfpr
 from .errors import FairprError, InfeasibleError
-from .pagerank import DEFAULT_GAMMA, _check_gamma, _check_phi, pagerank, standard_transition, write_scores_csv
+from .pagerank import (
+    DEFAULT_GAMMA,
+    _check_gamma,
+    _check_phi,
+    pagerank,
+    red_absorption_vector,
+    standard_transition,
+    write_scores_csv,
+)
 
 LFPR_KINDS = {
     "lfpr-n": lfpr.PolicyKind.NEIGHBORHOOD,
@@ -50,16 +61,17 @@ def _lfpr_policy(g, algo, args, phi, p_o):
     return result.policy, _solver_fields(algo, result, args.tol)
 
 
-def _rank_once(g, algo, args, phi, p_o, targets):
+def _rank_once(g, algo, args, phi, p_o, targets, q_r=None):
     """Scores, report.json's algorithm fields, fspr's jump vector and a global lfpr's policy
-    (each None where the algorithm has none) for one configuration."""
+    (each None where the algorithm has none) for one configuration; global fspr solves
+    ``q_r`` unless given."""
     extras: dict = {"algorithm": algo}
     if algo == "opr":
         return p_o, extras, None, None
     if algo == "fspr":
         model = standard_transition(g)
         if targets is None:
-            problem = fspr.fspr_problem(model, g, phi, args.gamma, p_o=p_o)
+            problem = fspr.fspr_problem(model, g, phi, args.gamma, p_o=p_o, q_r=q_r)
         else:
             problem = fspr.targeted_fspr_problem(model, g, targets[0], targets[1], phi, args.gamma, p_o=p_o)
         solution = fspr.solve_fspr(problem, tol=args.tol, max_iters=args.iters)
@@ -124,23 +136,69 @@ def _sweep_instances(args):
         yield f"synth-r{r}-aR{a_red}-aB{a_blue}-s{s}", g
 
 
+def _failure(exc) -> tuple[str, str]:
+    """A failed sweep row's status and message."""
+    return "infeasible" if isinstance(exc, InfeasibleError) else "error", str(exc)
+
+
+def _sweep_cell(instance, cell) -> tuple:
+    """Status, red mass, loss and message of one (algo, phi) cell of ``instance = (g, args, p_o, q_r)``,
+    and the text its solve wrote to stderr, for the caller to write in cell order."""
+    (g, args, p_o, q_r), (algo, phi) = instance, cell
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            scores = _rank_once(g, algo, args, phi, p_o, None, q_r)[0]
+            result = ("ok", analysis.red_mass(scores, g), analysis.utility_loss(scores, p_o), "")
+        except (FairprError, ValueError) as exc:
+            status, message = _failure(exc)
+            result = (status, None, None, message)
+    return (*result, err.getvalue())
+
+
+_inherited = None  # a forked sweep worker's instance; set only in the worker, by _inherit
+
+
+def _inherit(instance) -> None:
+    global _inherited
+    _inherited = instance
+
+
+def _inherited_cell(cell) -> tuple:
+    return _sweep_cell(_inherited, cell)
+
+
+def _solve_cells(instance, cells):
+    """``_sweep_cell`` of every cell, in order: on one forked worker per usable CPU, which inherits
+    ``instance`` instead of unpickling it, else, with one CPU or cell or off Linux, in this process."""
+    workers = min(len(cells), len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
+    if workers < 2:
+        return map(functools.partial(_sweep_cell, instance), cells)
+    import multiprocessing  # only a sweep on several CPUs pays for its import
+
+    with multiprocessing.get_context("fork").Pool(workers, initializer=_inherit, initargs=(instance,)) as pool:
+        return pool.map(_inherited_cell, cells, chunksize=1)
+
+
 def cmd_sweep(args) -> int:
     rows = []
+    cells = list(itertools.product(args.algos, args.phis))
     for name, g in _sweep_instances(args):
         if isinstance(g, Exception):  # a grid cell the generator rejected
-            rows += [[name, a, f"{p:.17g}", "", "", "", "error", str(g)] for a in args.algos for p in args.phis]
+            rows += [[name, a, f"{p:.17g}", "", "", "", "error", str(g)] for a, p in cells]
             continue
-        p_o = pagerank(standard_transition(g), args.gamma)
+        model = standard_transition(g)
+        p_o = pagerank(model, args.gamma)
+        q_r = red_absorption_vector(model, g, args.gamma) if "fspr" in args.algos else None  # once, for every phi
         bound = functools.cache(functools.partial(analysis.lower_bound_loss, p_o, g))  # once per phi, for every algo
-        for algo, phi in itertools.product(args.algos, args.phis):
-            cell = [name, algo, f"{phi:.17g}"]
-            try:
-                scores = _rank_once(g, algo, args, phi, p_o, None)[0]
-                mass, loss = analysis.red_mass(scores, g), analysis.utility_loss(scores, p_o)
-                rows.append(cell + [f"{mass:.17g}", f"{loss:.17g}", f"{bound(phi):.17g}", "ok", ""])
-            except (FairprError, ValueError) as exc:
-                status = "infeasible" if isinstance(exc, InfeasibleError) else "error"
-                rows.append(cell + ["", "", "", status, str(exc)])
+        for (algo, phi), (status, mass, loss, message, err) in zip(cells, _solve_cells((g, args, p_o, q_r), cells)):
+            sys.stderr.write(err)
+            values = ["", "", ""]
+            if status == "ok":
+                try:
+                    values = [f"{mass:.17g}", f"{loss:.17g}", f"{bound(phi):.17g}"]
+                except (FairprError, ValueError) as exc:  # opr takes any phi; its bound checks it
+                    status, message = _failure(exc)
+            rows.append([name, algo, f"{phi:.17g}", *values, status, message])
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

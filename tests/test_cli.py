@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import multiprocessing.pool
 import os
 import subprocess
 import sys
@@ -375,6 +376,56 @@ def test_sweep_over_files(tmp_path, graph_files, monkeypatch):
     assert bound_phis == [0.3, 0.5]  # once per phi, shared by both algorithms
 
 
+def _usable_cpus(monkeypatch, cpus):
+    """Make the CLI see ``cpus`` as this process's usable CPUs, also where os has no sched_getaffinity."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+
+
+def test_sweep_on_two_cpus_equals_the_serial_sweep(tmp_path, graph_files, capsys, monkeypatch):
+    # with two usable CPUs the cells run on two forked workers; rows, counts and exit code stay the same
+    edges, colors, _ = graph_files
+    bound_phis, pools = [], []
+    bound = fairpr.analysis.lower_bound_loss
+
+    def counted_bound(p_o, g, phi):
+        bound_phis.append(phi)
+        return bound(p_o, g, phi)
+
+    class CountedPool(multiprocessing.pool.Pool):
+        def __init__(self, processes, *args, **kwargs):
+            pools.append(processes)
+            super().__init__(processes, *args, **kwargs)
+
+    monkeypatch.setattr(fairpr.analysis, "lower_bound_loss", counted_bound)
+    monkeypatch.setattr(multiprocessing.pool, "Pool", CountedPool)
+    argv = ["sweep", "--edges", str(edges), "--colors", str(colors), "--phi", "0.3,0.5", "--algo", "fspr,lfpr-u"]
+    runs = []
+    for cpus in ({0}, {0, 1}):
+        _usable_cpus(monkeypatch, cpus)
+        code = main([*argv, "--out", str(tmp_path)])
+        runs.append((code, capsys.readouterr(), (tmp_path / "sweep.csv").read_bytes()))
+        assert bound_phis == [0.3, 0.5]  # the parent bounds each phi once, shared by both algorithms
+        bound_phis.clear()
+    assert runs[1] == runs[0] and runs[0][0] == 0
+    assert pools == [2]  # only the two-CPU run forks
+
+
+def test_sweep_cell_warnings_reach_stderr_once_in_cell_order(tmp_path, graph_files, capsys, monkeypatch):
+    # a forked worker writes to its own copy of stderr; the parent writes each cell's text, in cell order
+    edges, colors, _ = graph_files
+    argv = ["sweep", "--edges", str(edges), "--colors", str(colors), "--algo", "fspr,lfpr-o", "--phi", "0.3,0.35",
+            "--iters", "1", "--out", str(tmp_path)]
+    errs = []
+    for cpus in ({0}, {0, 1}):
+        _usable_cpus(monkeypatch, cpus)
+        assert main(argv) == 0
+        errs.append(capsys.readouterr().err)
+    lines = errs[1].splitlines()
+    assert [line.split()[1] for line in lines] == ["fspr", "fspr", "lfpr-o", "lfpr-o"]
+    assert all(line.startswith(f"warning: {line.split()[1]} stopped after 1 iterations") for line in lines)
+    assert errs[1] == errs[0]
+
+
 def test_sweep_synthetic_grid(tmp_path):
     rc = main(
         [
@@ -476,6 +527,13 @@ def test_cli_import_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # only a sweep with several cells on several CPUs imports it
+    proc = _child_python("-c", "import sys, fairpr.cli; print('multiprocessing' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_import_leaves_the_generator_unloaded():

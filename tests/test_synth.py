@@ -143,7 +143,7 @@ def _generate_or_error(generator, cfg):
 @given(cfg=_configs())
 # all-red seed ring: four regenerations, then both colors
 @example(cfg=SynthConfig(n=12, n0=3, red_fraction=0.9, alpha_red=0.5, alpha_blue=0.5, seed=3))
-# ten all-red attempts: RuntimeError
+# ten all-red attempts: ValueError (RuntimeError in the reference)
 @example(cfg=SynthConfig(n=12, n0=3, red_fraction=0.999, alpha_red=0.5, alpha_blue=0.5, seed=0))
 def test_generate_equals_the_scalar_draw_reference(cfg):
     got, want = _generate_or_error(generate, cfg), _generate_or_error(generate_reference, cfg)
