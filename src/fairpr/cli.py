@@ -22,15 +22,7 @@ import numpy as np
 
 from . import analysis, fspr, graph, lfpr
 from .errors import FairprError, InfeasibleError
-from .pagerank import (
-    DEFAULT_GAMMA,
-    _check_gamma,
-    _check_phi,
-    pagerank,
-    red_absorption_vector,
-    standard_transition,
-    write_scores_csv,
-)
+from .pagerank import DEFAULT_GAMMA, _check_gamma, _check_phi, pagerank, standard_transition, write_scores_csv
 
 LFPR_KINDS = {
     "lfpr-n": lfpr.PolicyKind.NEIGHBORHOOD,
@@ -61,17 +53,16 @@ def _lfpr_policy(g, algo, args, phi, p_o):
     return result.policy, _solver_fields(algo, result, args.tol)
 
 
-def _rank_once(g, algo, args, phi, p_o, targets, q_r=None):
+def _rank_once(g, algo, args, phi, p_o, targets):
     """Scores, report.json's algorithm fields, fspr's jump vector and a global lfpr's policy
-    (each None where the algorithm has none) for one configuration; global fspr solves
-    ``q_r`` unless given."""
+    (each None where the algorithm has none) for one configuration."""
     extras: dict = {"algorithm": algo}
     if algo == "opr":
         return p_o, extras, None, None
     if algo == "fspr":
         model = standard_transition(g)
         if targets is None:
-            problem = fspr.fspr_problem(model, g, phi, args.gamma, p_o=p_o, q_r=q_r)
+            problem = fspr.fspr_problem(model, g, phi, args.gamma, p_o=p_o)
         else:
             problem = fspr.targeted_fspr_problem(model, g, targets[0], targets[1], phi, args.gamma, p_o=p_o)
         solution = fspr.solve_fspr(problem, tol=args.tol, max_iters=args.iters)
@@ -142,12 +133,12 @@ def _failure(exc) -> tuple[str, str]:
 
 
 def _sweep_cell(instance, cell) -> tuple:
-    """Status, red mass, loss and message of one (algo, phi) cell of ``instance = (g, args, p_o, q_r)``,
+    """Status, red mass, loss and message of one (algo, phi) cell of ``instance = (g, args, p_o)``,
     and the text its solve wrote to stderr, for the caller to write in cell order."""
-    (g, args, p_o, q_r), (algo, phi) = instance, cell
+    (g, args, p_o), (algo, phi) = instance, cell
     with contextlib.redirect_stderr(io.StringIO()) as err:
         try:
-            scores = _rank_once(g, algo, args, phi, p_o, None, q_r)[0]
+            scores = _rank_once(g, algo, args, phi, p_o, None)[0]
             result = ("ok", analysis.red_mass(scores, g), analysis.utility_loss(scores, p_o), "")
         except (FairprError, ValueError) as exc:
             status, message = _failure(exc)
@@ -167,16 +158,37 @@ def _inherited_cell(cell) -> tuple:
     return _sweep_cell(_inherited, cell)
 
 
+def _workers(g, cells) -> int:
+    """How many forked workers solve one graph's cells: one per usable CPU that this process's own
+    threads leave free (a multi-threaded BLAS starts its threads when numpy loads, and each worker
+    would run as many), at most one per cell. One, meaning in this process, off Linux and where the
+    cells' solves are too small to repay the pool's ~15 ms: below 120,000 edges times solving cells,
+    lfpr cells ran no faster on two workers than in-process."""
+    solves = sum(algo != "opr" for algo, _ in cells)  # an opr cell only reads p_o
+    if g.n_edges * solves < 120_000 or not hasattr(os, "sched_getaffinity"):
+        return 1
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        return 1
+    return min(len(cells), len(os.sched_getaffinity(0)) // threads)
+
+
 def _solve_cells(instance, cells):
-    """``_sweep_cell`` of every cell, in order: on one forked worker per usable CPU, which inherits
-    ``instance`` instead of unpickling it, else, with one CPU or cell or off Linux, in this process."""
-    workers = min(len(cells), len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
+    """``_sweep_cell`` of every cell, in order: on ``_workers`` forked workers, which inherit
+    ``instance`` instead of unpickling it, or, with one, in this process."""
+    workers = _workers(instance[0], cells)
     if workers < 2:
         return map(functools.partial(_sweep_cell, instance), cells)
-    import multiprocessing  # only a sweep on several CPUs pays for its import
+    import multiprocessing  # only a sweep on several workers pays for these imports
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-    with multiprocessing.get_context("fork").Pool(workers, initializer=_inherit, initargs=(instance,)) as pool:
-        return pool.map(_inherited_cell, cells, chunksize=1)
+    try:
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _inherit, (instance,)) as pool:
+            return list(pool.map(_inherited_cell, cells))
+    except BrokenProcessPool as exc:  # a worker was killed, say by the kernel's out-of-memory killer
+        raise FairprError(f"a sweep worker died before it returned its cell: {exc}") from exc
 
 
 def cmd_sweep(args) -> int:
@@ -186,11 +198,9 @@ def cmd_sweep(args) -> int:
         if isinstance(g, Exception):  # a grid cell the generator rejected
             rows += [[name, a, f"{p:.17g}", "", "", "", "error", str(g)] for a, p in cells]
             continue
-        model = standard_transition(g)
-        p_o = pagerank(model, args.gamma)
-        q_r = red_absorption_vector(model, g, args.gamma) if "fspr" in args.algos else None  # once, for every phi
+        p_o = pagerank(standard_transition(g), args.gamma)
         bound = functools.cache(functools.partial(analysis.lower_bound_loss, p_o, g))  # once per phi, for every algo
-        for (algo, phi), (status, mass, loss, message, err) in zip(cells, _solve_cells((g, args, p_o, q_r), cells)):
+        for (algo, phi), (status, mass, loss, message, err) in zip(cells, _solve_cells((g, args, p_o), cells)):
             sys.stderr.write(err)
             values = ["", "", ""]
             if status == "ok":

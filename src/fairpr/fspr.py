@@ -119,14 +119,11 @@ def fspr_problem(
     phi: float,
     gamma: float = DEFAULT_GAMMA,
     p_o: np.ndarray | None = None,
-    q_r: np.ndarray | None = None,
 ) -> FsprProblem:
-    """The global program at ``phi``; ``p_o`` and ``q_r``, phi-independent, are solved when not given."""
     phi = _check_phi(phi)
     if p_o is None:
         p_o = pagerank(model, gamma)
-    if q_r is None:
-        q_r = red_absorption_vector(model, g, gamma)
+    q_r = red_absorption_vector(model, g, gamma)
     return FsprProblem(model=model, gamma=gamma, p_o=p_o, q_r=q_r, constraint=q_r, rhs=phi)
 
 

@@ -1,10 +1,11 @@
+import concurrent.futures
 import csv
 import hashlib
 import json
-import multiprocessing.pool
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -376,32 +377,52 @@ def test_sweep_over_files(tmp_path, graph_files, monkeypatch):
     assert bound_phis == [0.3, 0.5]  # once per phi, shared by both algorithms
 
 
-def _usable_cpus(monkeypatch, cpus):
-    """Make the CLI see ``cpus`` as this process's usable CPUs, also where os has no sched_getaffinity."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+@pytest.fixture(scope="module")
+def large_graph_files(tmp_path_factory):
+    # 30,000 edges: four solving cells reach the 120,000 edge-solves at which a sweep forks
+    root = tmp_path_factory.mktemp("large")
+    g = generate(SynthConfig(n=15000, red_fraction=0.3, alpha_red=0.7, alpha_blue=0.7, seed=5))
+    save_graph(g, root / "edges.tsv", root / "colors.tsv")
+    return root / "edges.tsv", root / "colors.tsv"
 
 
-def test_sweep_on_two_cpus_equals_the_serial_sweep(tmp_path, graph_files, capsys, monkeypatch):
-    # with two usable CPUs the cells run on two forked workers; rows, counts and exit code stay the same
-    edges, colors, _ = graph_files
-    bound_phis, pools = [], []
+def _free_cpus(monkeypatch, workers):
+    """Make the CLI see as many usable CPUs as leave ``workers`` free of this process's threads,
+    also where os has no sched_getaffinity."""
+    cpus = set(range(workers * len(os.listdir("/proc/self/task"))))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+
+
+def _counted_pools(monkeypatch):
+    """The worker count of every process pool the CLI starts from now on."""
+    pools = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    return pools
+
+
+def test_sweep_on_two_cpus_equals_the_serial_sweep(tmp_path, large_graph_files, capsys, monkeypatch):
+    # with two free CPUs the cells run on two forked workers; rows, counts and exit code stay the same
+    edges, colors = large_graph_files
+    bound_phis = []
     bound = fairpr.analysis.lower_bound_loss
 
     def counted_bound(p_o, g, phi):
         bound_phis.append(phi)
         return bound(p_o, g, phi)
 
-    class CountedPool(multiprocessing.pool.Pool):
-        def __init__(self, processes, *args, **kwargs):
-            pools.append(processes)
-            super().__init__(processes, *args, **kwargs)
-
     monkeypatch.setattr(fairpr.analysis, "lower_bound_loss", counted_bound)
-    monkeypatch.setattr(multiprocessing.pool, "Pool", CountedPool)
-    argv = ["sweep", "--edges", str(edges), "--colors", str(colors), "--phi", "0.3,0.5", "--algo", "fspr,lfpr-u"]
+    pools = _counted_pools(monkeypatch)
+    argv = ["sweep", "--edges", str(edges), "--colors", str(colors), "--phi", "0.3,0.5", "--algo", "fspr,lfpr-u",
+            "--iters", "20"]
     runs = []
-    for cpus in ({0}, {0, 1}):
-        _usable_cpus(monkeypatch, cpus)
+    for workers in (1, 2):
+        _free_cpus(monkeypatch, workers)
         code = main([*argv, "--out", str(tmp_path)])
         runs.append((code, capsys.readouterr(), (tmp_path / "sweep.csv").read_bytes()))
         assert bound_phis == [0.3, 0.5]  # the parent bounds each phi once, shared by both algorithms
@@ -410,20 +431,68 @@ def test_sweep_on_two_cpus_equals_the_serial_sweep(tmp_path, graph_files, capsys
     assert pools == [2]  # only the two-CPU run forks
 
 
-def test_sweep_cell_warnings_reach_stderr_once_in_cell_order(tmp_path, graph_files, capsys, monkeypatch):
+def test_small_sweeps_and_busy_cpus_solve_in_process(tmp_path, graph_files, large_graph_files, monkeypatch):
+    # a pool costs more than a small graph's cells, or than opr cells, which solve nothing, and a
+    # worker per CPU that this process's threads already use would only compete with them
+    pools = _counted_pools(monkeypatch)
+    _free_cpus(monkeypatch, 2)
+    small, large = graph_files[:2], large_graph_files
+    for (edges, colors), algos, phis in (
+        (small, "fspr,lfpr-u,lfpr-o", "0.3,0.5"),
+        (large, "opr", "0.1,0.2,0.3,0.5,0.7"),
+        (large, "lfpr-u", "0.3,0.5"),  # 30,000 edges times 2 solves
+    ):
+        argv = ["sweep", "--edges", str(edges), "--colors", str(colors), "--algo", algos, "--phi", phis]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert pools == []
+    threads = len(os.listdir("/proc/self/task"))
+    release = threading.Event()
+    busy = [threading.Thread(target=release.wait) for _ in range(threads)]
+    for thread in busy:
+        thread.start()
+    try:
+        argv = ["sweep", "--edges", str(large[0]), "--colors", str(large[1]), "--algo", "lfpr-u,lfpr-n"]
+        assert main([*argv, "--phi", "0.3,0.5", "--out", str(tmp_path)]) == 0
+    finally:
+        release.set()
+        for thread in busy:
+            thread.join()
+    assert pools == []  # twice the threads on twice the CPUs leave one free
+
+
+def test_sweep_cell_warnings_reach_stderr_once_in_cell_order(tmp_path, large_graph_files, capsys, monkeypatch):
     # a forked worker writes to its own copy of stderr; the parent writes each cell's text, in cell order
-    edges, colors, _ = graph_files
+    edges, colors = large_graph_files
+    pools = _counted_pools(monkeypatch)
     argv = ["sweep", "--edges", str(edges), "--colors", str(colors), "--algo", "fspr,lfpr-o", "--phi", "0.3,0.35",
             "--iters", "1", "--out", str(tmp_path)]
     errs = []
-    for cpus in ({0}, {0, 1}):
-        _usable_cpus(monkeypatch, cpus)
+    for workers in (1, 2):
+        _free_cpus(monkeypatch, workers)
         assert main(argv) == 0
         errs.append(capsys.readouterr().err)
+    assert pools == [2]
     lines = errs[1].splitlines()
     assert [line.split()[1] for line in lines] == ["fspr", "fspr", "lfpr-o", "lfpr-o"]
     assert all(line.startswith(f"warning: {line.split()[1]} stopped after 1 iterations") for line in lines)
     assert errs[1] == errs[0]
+
+
+def test_a_sweep_worker_that_dies_exits_1(tmp_path, large_graph_files, capsys, monkeypatch):
+    # a killed worker (the out-of-memory killer, a crash in numpy) breaks the pool instead of hanging it
+    edges, colors = large_graph_files
+    parent = os.getpid()
+
+    def die(instance, cell):
+        assert os.getpid() != parent, "the cell ran in the parent"
+        os._exit(9)
+
+    monkeypatch.setattr(fairpr.cli, "_sweep_cell", die)
+    _free_cpus(monkeypatch, 2)
+    argv = ["sweep", "--edges", str(edges), "--colors", str(colors), "--algo", "lfpr-u,lfpr-n", "--phi", "0.3,0.5"]
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: a sweep worker died before it returned its cell")
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_synthetic_grid(tmp_path):
