@@ -159,19 +159,21 @@ def _inherited_cell(cell) -> tuple:
 
 
 def _workers(g, cells) -> int:
-    """How many forked workers solve one graph's cells: one per usable CPU that this process's own
-    threads leave free (a multi-threaded BLAS starts its threads when numpy loads, and each worker
-    would run as many), at most one per cell. One, meaning in this process, off Linux and where the
+    """How many forked workers solve one graph's cells: one per usable CPU, at most one per cell.
+    One, meaning in this process, off Linux, in a process that runs other threads, and where the
     cells' solves are too small to repay the pool's ~15 ms: below 120,000 edges times solving cells,
-    lfpr cells ran no faster on two workers than in-process."""
+    lfpr cells ran no faster on two workers than in-process. Forking a process with threads is
+    unsafe, and a multi-threaded BLAS, whose threads start when numpy loads, would start as many
+    again in each worker."""
     solves = sum(algo != "opr" for algo, _ in cells)  # an opr cell only reads p_o
     if g.n_edges * solves < 120_000 or not hasattr(os, "sched_getaffinity"):
         return 1
     try:
-        threads = len(os.listdir("/proc/self/task"))
+        if len(os.listdir("/proc/self/task")) > 1:
+            return 1
     except OSError:
         return 1
-    return min(len(cells), len(os.sched_getaffinity(0)) // threads)
+    return min(len(cells), len(os.sched_getaffinity(0)))
 
 
 def _solve_cells(instance, cells):

@@ -1,11 +1,9 @@
-import concurrent.futures
 import csv
 import hashlib
 import json
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -386,112 +384,115 @@ def large_graph_files(tmp_path_factory):
     return root / "edges.tsv", root / "colors.tsv"
 
 
-def _free_cpus(monkeypatch, workers):
-    """Make the CLI see as many usable CPUs as leave ``workers`` free of this process's threads,
-    also where os has no sched_getaffinity."""
-    cpus = set(range(workers * len(os.listdir("/proc/self/task"))))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+# Runs sweeps in a process with one thread, the only kind that forks workers: each run's usable
+# CPUs are patched in, and each reports its exit code, stdout, stderr, the process pools started
+# and the phis bounded. "busy" keeps a second thread waiting through the runs, "die" makes every
+# cell kill the worker it runs in.
+_SWEEP_CHILD = """
+import concurrent.futures, contextlib, io, json, os, sys, threading
+import fairpr.analysis, fairpr.cli
+runs, mode = json.loads(sys.argv[1]), sys.argv[2]
+pools, bounds, bound, parent = [], [], fairpr.analysis.lower_bound_loss, os.getpid()
+
+class CountedPool(concurrent.futures.ProcessPoolExecutor):
+    def __init__(self, max_workers, *args, **kwargs):
+        pools.append(max_workers)
+        super().__init__(max_workers, *args, **kwargs)
+
+def counted_bound(p_o, g, phi):
+    bounds.append(phi)
+    return bound(p_o, g, phi)
+
+def die(instance, cell):
+    if os.getpid() == parent:
+        raise AssertionError("the cell ran in the parent")
+    os._exit(9)
+
+concurrent.futures.ProcessPoolExecutor, fairpr.analysis.lower_bound_loss = CountedPool, counted_bound
+if mode == "die":
+    fairpr.cli._sweep_cell = die
+if mode == "busy":
+    threading.Thread(target=threading.Event().wait, daemon=True).start()
+report = []
+for cpus, argv in runs:
+    os.sched_getaffinity = lambda pid, cpus=set(cpus): cpus
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = fairpr.cli.main(argv)
+    report.append({"code": code, "out": out.getvalue(), "err": err.getvalue(), "pools": pools[:], "bounds": bounds[:]})
+    pools.clear(), bounds.clear()
+print(json.dumps(report))
+"""
 
 
-def _counted_pools(monkeypatch):
-    """The worker count of every process pool the CLI starts from now on."""
-    pools = []
-
-    class CountedPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, *args, **kwargs):
-            pools.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
-    return pools
+def _sweeps_in_child(monkeypatch, runs, mode=""):
+    """Each ``(usable CPUs, argv)`` of ``runs`` through ``main`` in one child process run by _SWEEP_CHILD."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(name, "1")  # a multi-threaded BLAS would start threads of its own
+    proc = _child_python("-c", _SWEEP_CHILD, json.dumps(runs), mode, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
-def test_sweep_on_two_cpus_equals_the_serial_sweep(tmp_path, large_graph_files, capsys, monkeypatch):
-    # with two free CPUs the cells run on two forked workers; rows, counts and exit code stay the same
+def test_sweep_on_two_cpus_equals_the_serial_sweep(tmp_path, large_graph_files, monkeypatch):
+    # with two usable CPUs the cells run on two forked workers; rows, counts and exit code stay the same
     edges, colors = large_graph_files
-    bound_phis = []
-    bound = fairpr.analysis.lower_bound_loss
-
-    def counted_bound(p_o, g, phi):
-        bound_phis.append(phi)
-        return bound(p_o, g, phi)
-
-    monkeypatch.setattr(fairpr.analysis, "lower_bound_loss", counted_bound)
-    pools = _counted_pools(monkeypatch)
     argv = ["sweep", "--edges", str(edges), "--colors", str(colors), "--phi", "0.3,0.5", "--algo", "fspr,lfpr-u",
             "--iters", "20"]
-    runs = []
-    for workers in (1, 2):
-        _free_cpus(monkeypatch, workers)
-        code = main([*argv, "--out", str(tmp_path)])
-        runs.append((code, capsys.readouterr(), (tmp_path / "sweep.csv").read_bytes()))
-        assert bound_phis == [0.3, 0.5]  # the parent bounds each phi once, shared by both algorithms
-        bound_phis.clear()
-    assert runs[1] == runs[0] and runs[0][0] == 0
-    assert pools == [2]  # only the two-CPU run forks
+    runs, csvs = [], []
+    for cpus in ([0], [0, 1]):
+        runs += _sweeps_in_child(monkeypatch, [[cpus, [*argv, "--out", str(tmp_path)]]])
+        csvs.append((tmp_path / "sweep.csv").read_bytes())
+    assert csvs[1] == csvs[0]
+    assert [run["pools"] for run in runs] == [[], [2]]  # only the two-CPU run forks
+    for run in runs:
+        assert run["bounds"] == [0.3, 0.5]  # the parent bounds each phi once, shared by both algorithms
+        del run["pools"]
+    assert runs[1] == runs[0] and runs[0]["code"] == 0
 
 
-def test_small_sweeps_and_busy_cpus_solve_in_process(tmp_path, graph_files, large_graph_files, monkeypatch):
-    # a pool costs more than a small graph's cells, or than opr cells, which solve nothing, and a
-    # worker per CPU that this process's threads already use would only compete with them
-    pools = _counted_pools(monkeypatch)
-    _free_cpus(monkeypatch, 2)
+def test_small_sweeps_and_threaded_processes_solve_in_process(tmp_path, graph_files, large_graph_files,
+                                                              monkeypatch):
+    # a pool costs more than a small graph's cells or than opr cells, which solve nothing, and forking
+    # a process that runs other threads is unsafe
     small, large = graph_files[:2], large_graph_files
-    for (edges, colors), algos, phis in (
+    runs = [
         (small, "fspr,lfpr-u,lfpr-o", "0.3,0.5"),
         (large, "opr", "0.1,0.2,0.3,0.5,0.7"),
         (large, "lfpr-u", "0.3,0.5"),  # 30,000 edges times 2 solves
-    ):
-        argv = ["sweep", "--edges", str(edges), "--colors", str(colors), "--algo", algos, "--phi", phis]
-        assert main([*argv, "--out", str(tmp_path)]) == 0
-    assert pools == []
-    threads = len(os.listdir("/proc/self/task"))
-    release = threading.Event()
-    busy = [threading.Thread(target=release.wait) for _ in range(threads)]
-    for thread in busy:
-        thread.start()
-    try:
-        argv = ["sweep", "--edges", str(large[0]), "--colors", str(large[1]), "--algo", "lfpr-u,lfpr-n"]
-        assert main([*argv, "--phi", "0.3,0.5", "--out", str(tmp_path)]) == 0
-    finally:
-        release.set()
-        for thread in busy:
-            thread.join()
-    assert pools == []  # twice the threads on twice the CPUs leave one free
+    ]
+    runs = [[[0, 1], ["sweep", "--edges", str(e), "--colors", str(c), "--algo", a, "--phi", p, "--out", str(tmp_path)]]
+            for (e, c), a, p in runs]
+    assert [(run["code"], run["pools"]) for run in _sweeps_in_child(monkeypatch, runs)] == [(0, [])] * 3
+    argv = ["sweep", "--edges", str(large[0]), "--colors", str(large[1]), "--algo", "lfpr-u,lfpr-n",
+            "--phi", "0.3,0.5", "--out", str(tmp_path)]
+    for mode, pools in (("", [2]), ("busy", [])):
+        assert [(run["code"], run["pools"]) for run in _sweeps_in_child(monkeypatch, [[[0, 1], argv]], mode)] == [
+            (0, pools)
+        ]
 
 
-def test_sweep_cell_warnings_reach_stderr_once_in_cell_order(tmp_path, large_graph_files, capsys, monkeypatch):
+def test_sweep_cell_warnings_reach_stderr_once_in_cell_order(tmp_path, large_graph_files, monkeypatch):
     # a forked worker writes to its own copy of stderr; the parent writes each cell's text, in cell order
     edges, colors = large_graph_files
-    pools = _counted_pools(monkeypatch)
     argv = ["sweep", "--edges", str(edges), "--colors", str(colors), "--algo", "fspr,lfpr-o", "--phi", "0.3,0.35",
             "--iters", "1", "--out", str(tmp_path)]
-    errs = []
-    for workers in (1, 2):
-        _free_cpus(monkeypatch, workers)
-        assert main(argv) == 0
-        errs.append(capsys.readouterr().err)
-    assert pools == [2]
-    lines = errs[1].splitlines()
+    serial, forked = _sweeps_in_child(monkeypatch, [[[0], argv], [[0, 1], argv]])
+    assert (serial["pools"], forked["pools"]) == ([], [2])
+    lines = forked["err"].splitlines()
     assert [line.split()[1] for line in lines] == ["fspr", "fspr", "lfpr-o", "lfpr-o"]
     assert all(line.startswith(f"warning: {line.split()[1]} stopped after 1 iterations") for line in lines)
-    assert errs[1] == errs[0]
+    assert forked["err"] == serial["err"]
 
 
-def test_a_sweep_worker_that_dies_exits_1(tmp_path, large_graph_files, capsys, monkeypatch):
+def test_a_sweep_worker_that_dies_exits_1(tmp_path, large_graph_files, monkeypatch):
     # a killed worker (the out-of-memory killer, a crash in numpy) breaks the pool instead of hanging it
     edges, colors = large_graph_files
-    parent = os.getpid()
-
-    def die(instance, cell):
-        assert os.getpid() != parent, "the cell ran in the parent"
-        os._exit(9)
-
-    monkeypatch.setattr(fairpr.cli, "_sweep_cell", die)
-    _free_cpus(monkeypatch, 2)
-    argv = ["sweep", "--edges", str(edges), "--colors", str(colors), "--algo", "lfpr-u,lfpr-n", "--phi", "0.3,0.5"]
-    assert main([*argv, "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err.startswith("error: a sweep worker died before it returned its cell")
+    argv = ["sweep", "--edges", str(edges), "--colors", str(colors), "--algo", "lfpr-u,lfpr-n", "--phi", "0.3,0.5",
+            "--out", str(tmp_path)]
+    [run] = _sweeps_in_child(monkeypatch, [[[0, 1], argv]], "die")
+    assert (run["code"], run["pools"]) == (1, [2])
+    assert run["err"].startswith("error: a sweep worker died before it returned its cell")
     assert not (tmp_path / "sweep.csv").exists()
 
 
