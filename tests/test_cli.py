@@ -600,10 +600,11 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():
-    # only a sweep with several cells on several CPUs imports it
-    proc = _child_python("-c", "import sys, fairpr.cli; print('multiprocessing' in sys.modules)")
+    # only a sweep that forks workers imports them
+    modules = "[m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules]"
+    proc = _child_python("-c", f"import sys, fairpr.cli; print({modules})")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_import_leaves_the_generator_unloaded():
