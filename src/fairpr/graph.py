@@ -118,12 +118,14 @@ def from_edges(n: int, edges, red) -> ColoredGraph:
 def _check_target_sets(g: ColoredGraph, s, s_r) -> tuple[np.ndarray, np.ndarray]:
     masks = []
     for ids, name in ((s, "target set"), (s_r, "protected target subset")):
-        ids = np.unique(np.asarray(ids, dtype=np.int64))
+        ids = np.asarray(ids, dtype=np.int64)
         if ids.size == 0:
             raise ValueError(f"{name} is empty")
-        if ids.min() < 0 or ids.max() >= g.n:
+        if ids.min() < 0 or ids.max() >= g.n:  # before the scatter, where -1 would mark node n - 1
             raise ValueError(f"{name} contains out-of-range node ids")
-        masks.append(np.isin(np.arange(g.n), ids))
+        mask = np.zeros(g.n, dtype=bool)
+        mask[ids] = True  # no np.unique: numpy 2's imports numpy.ma, ~17 ms of a targeted run
+        masks.append(mask)
     s_mask, sr_mask = masks
     if not s_mask[sr_mask].all():
         raise ValueError("protected target subset must lie inside the target set")

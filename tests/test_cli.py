@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -616,31 +617,73 @@ def test_cli_import_leaves_the_generator_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def _write_targets(tmp_path, g):
+    """``--target-set`` and ``--target-protected`` flags of files naming the first 16 nodes."""
+    s = np.arange(16)
+    (tmp_path / "s.txt").write_text("\n".join(map(str, s)) + "\n")
+    (tmp_path / "sr.txt").write_text("\n".join(map(str, s[g.red[s]])) + "\n")
+    return ["--target-set", str(tmp_path / "s.txt"), "--target-protected", str(tmp_path / "sr.txt")]
+
+
+_LOADED_CHILD = """
+import json, sys
+import numpy
+eager = set(sys.modules)  # numpy 1.x imports numpy.ma and numpy.random with numpy itself
+from fairpr.cli import main
+codes = [main(a) for a in json.loads(sys.argv[1])]
+print(codes, [m for m in json.loads(sys.argv[2]) if m in sys.modules and m not in eager])
+"""
+
+
+def _modules_the_runs_load(runs, modules):
+    """Exit codes of ``main`` on each of ``runs`` in one child, and which of ``modules`` the
+    import of ``fairpr.cli`` and the runs loaded that ``import numpy`` had not."""
+    proc = _child_python("-c", _LOADED_CHILD, json.dumps(runs), json.dumps(modules))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 def test_solver_commands_leave_numpy_random_unloaded(tmp_path, graph_files):
     # numpy loads numpy.random lazily, with secrets, hashlib, hmac and base64:
     # 12-18 ms of start-up that the fspr and lfpr-o solves and a full audit skip
     edges, colors, g = graph_files
-    s = np.arange(16)
-    (tmp_path / "s.txt").write_text("\n".join(map(str, s)) + "\n")
-    (tmp_path / "sr.txt").write_text("\n".join(map(str, s[g.red[s]])) + "\n")
     graph = ["--edges", str(edges), "--colors", str(colors), "--out", str(tmp_path)]
-    targets = ["--target-set", str(tmp_path / "s.txt"), "--target-protected", str(tmp_path / "sr.txt")]
     runs = [
         ["rank", *graph, "--algo", "fspr", "--phi", "0.3"],
-        ["rank", *graph, "--algo", "fspr", "--phi", "0.5", *targets],
+        ["rank", *graph, "--algo", "fspr", "--phi", "0.5", *_write_targets(tmp_path, g)],
         ["rank", *graph, "--algo", "lfpr-o", "--phi", "0.3"],
         ["audit", *graph, "--algo", "opr", "--sample", str(g.n)],
     ]
-    code = "import json, sys; from fairpr.cli import main; print([main(a) for a in json.loads(sys.argv[1])], 'numpy.random' in sys.modules)"
-    proc = _child_python("-c", code, json.dumps(runs))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
+    assert _modules_the_runs_load(runs, ["numpy.random"]) == "[0, 0, 0, 0] []"
+
+
+def test_targeted_ranks_leave_numpy_ma_unloaded(tmp_path, graph_files):
+    # numpy 2's np.unique imports numpy.ma, 17-23 ms; the target masks are scattered instead
+    edges, colors, g = graph_files
+    graph = ["--edges", str(edges), "--colors", str(colors), "--out", str(tmp_path), *_write_targets(tmp_path, g)]
+    runs = [["rank", *graph, "--algo", "fspr", "--phi", "0.5"], ["rank", *graph, "--algo", "lfpr-u", "--phi", "0.5"]]
+    assert _modules_the_runs_load(runs, ["numpy.ma"]) == "[0, 0] []"
 
 
 def test_console_entry_point_runs():
     proc = _child_python("-m", "fairpr.cli", "--help")
     assert proc.returncode == 0
     assert "rank" in proc.stdout
+
+
+def test_the_process_entry_freezes_the_import_time_heap_and_main_does_not(tmp_path, graph_files):
+    # python -m fairpr.cli and the fairpr executable freeze the imported objects, which the
+    # collector then skips at exit; main, which tests and the benchmark call in-process, does not
+    hook = "import atexit, gc, runpy; atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))"
+    proc = _child_python("-c", f"{hook}; runpy.run_module('fairpr.cli', run_name='__main__')", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "frozen True"
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert 'fairpr = "fairpr.cli:entry"' in pyproject.read_text().splitlines()
+    edges, colors, _ = graph_files
+    frozen = gc.get_freeze_count()
+    assert main(["rank", "--edges", str(edges), "--colors", str(colors), "--algo", "opr", "--out", str(tmp_path)]) == 0
+    assert gc.get_freeze_count() == frozen
 
 
 @pytest.mark.parametrize("gamma", ["1.5", "1.0", "0", "-0.2", "nan"])

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_colored_graph
 from fairpr import graph
@@ -84,6 +86,47 @@ def test_saved_graph_and_target_set_load_without_the_line_parser(tmp_path, monke
     assert np.array_equal(g.red, h.red)
     (tmp_path / "s.txt").write_text("".join(f"{i}\n" for i in range(0, g.n, 7)))
     assert load_node_ids(tmp_path / "s.txt").tolist() == list(range(0, g.n, 7))
+
+
+def _target_outcome(n, s, s_r):
+    """The message ``_check_target_sets`` raises on these id lists, or None."""
+    for ids, name in ((s, "target set"), (s_r, "protected target subset")):
+        if not ids:
+            return f"{name} is empty"
+        if min(ids) < 0 or max(ids) >= n:
+            return f"{name} contains out-of-range node ids"
+    if not set(s_r) <= set(s):
+        return "protected target subset must lie inside the target set"
+    if not set(s) - set(s_r):
+        return "target set must contain nodes outside the protected subset"
+    return None
+
+
+_id_lists = st.integers(2, 9).flatmap(
+    lambda n: st.tuples(st.just(n), *[st.lists(st.integers(-n - 2, n + 2), max_size=2 * n)] * 2)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_id_lists)
+@example((5, [4, 0, 4, 2], [2, 2]))  # repeats, unsorted: masks {0, 2, 4} and {2}
+@example((5, [0, 1, -1], [0]))  # scattered unchecked, -1 would mark node 4
+@example((5, [0, 5], [0]))  # and 5 would raise IndexError
+@example((5, [0, 1], []))
+def test_target_masks_equal_the_sorted_unique_reference(case):
+    # the masks are scattered, not built with np.unique and np.isin, which they must equal;
+    # the checks and their messages come first, in the same order
+    n, s, s_r = case
+    g = from_edges(n, [(0, 1)], np.arange(n) == 0)
+    message = _target_outcome(n, s, s_r)
+    if message is not None:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            graph._check_target_sets(g, s, s_r)
+        return
+    masks = graph._check_target_sets(g, s, s_r)
+    for mask, ids in zip(masks, (s, s_r)):
+        assert mask.dtype == bool
+        assert np.array_equal(mask, np.isin(np.arange(n), np.unique(ids)))
 
 
 def test_from_edges_sorts_only_out_of_order_input():
